@@ -4,9 +4,10 @@
 //! request/resolved round trips, softened by the hub cache; engine3
 //! re-evaluates the counter-based draw streams locally and sends
 //! *nothing*. This experiment runs the same pinned workload through
-//! three configurations — engine2 with the hub cache, engine2 without
-//! it, and engine3 — and reports per-config message totals,
-//! chain-recomputation counters and wall-clock time.
+//! engine2 with and without the hub cache, and engine3 with its default
+//! (one slot per remote row) and hashed chain-memo layouts, and reports
+//! per-config message totals, chain-recomputation counters and
+//! wall-clock time.
 //!
 //! The run doubles as a CI guard: if engine3 sends even one
 //! point-to-point message or queues a single request the process exits
@@ -86,11 +87,19 @@ fn main() {
             false,
         ),
         measure("engine3", &cfg, ranks, &GenOptions::default(), true),
+        // The default memo gives every remote row its own slot; this row
+        // runs the hashed, tagged layout instead: 2^20 rows (the default
+        // under --memory-budget), or one row short of the remote row
+        // count when that is smaller, so the hashed layout is exercised
+        // at every n.
         measure(
-            "engine3 memo full",
+            "engine3 memo hashed",
             &cfg,
             ranks,
-            &GenOptions::default().with_chain_memo(n),
+            &GenOptions::default().with_chain_memo(
+                pa_core::BUDGETED_CHAIN_MEMO_NODES
+                    .min((n - n.div_ceil(ranks as u64)).saturating_sub(1)),
+            ),
             true,
         ),
     ];

@@ -2,6 +2,7 @@
 //! `--in`) estimate per-rank resident memory for a planned run.
 
 use crate::args::{Args, CliError};
+use pa_core::par::ChainMemoLayout;
 use pa_core::partition::{self, Partition};
 use pa_graph::container;
 use std::io::Write;
@@ -91,79 +92,104 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let memo_nodes = args.u64("chain-memo", pa_core::DEFAULT_CHAIN_MEMO_NODES)?;
     args.finish()?;
 
-    // The largest rank bounds every rank's table sizes.
     let part = partition::build(scheme, n, ranks);
-    let size = (0..ranks).map(|r| part.size_of(r)).max().unwrap_or(0);
-    let slots = size * x;
-
+    // Node labels decide the resident cell width of the F tables and
+    // the chain memo; the engines declare the same bounds.
+    let label_cell = pa_core::store::cell_bytes(n - 1);
     // A paged table's cache holds `budget/page` frames but never fewer
-    // than two pages, mirroring `StoreSpec::scaled`.
+    // than two pages, mirroring `StoreSpec::scaled`; paged slots are
+    // always 8 bytes.
     let capped = |share: u64, table_slots: u64| {
         let table_bytes = table_slots * 8;
         Some(share.max(2 * page_bytes).min(table_bytes))
     };
 
-    // Per-engine table inventory: which per-node state pages to disk
-    // (the store-backed tables) and which stays resident regardless.
-    let lines: Vec<TableLine> = match engine {
-        1 => vec![TableLine {
-            name: "F table (1 slot/node)",
-            resident: size * 8,
-            budgeted: budget_bytes.and_then(|b| capped(b, size)),
-        }],
-        2 => {
-            // The general engine splits one budget across three tables
-            // by slot weight: f and attempts get slots each, next_e
-            // gets size.
-            let total = slots * 2 + size;
-            vec![
+    // Per-engine table inventory for one rank: which per-node state
+    // pages to disk (the store-backed tables) and which stays resident
+    // regardless.
+    let lines_for = |rank: usize| -> Vec<TableLine> {
+        let size = part.size_of(rank);
+        let slots = size * x;
+        match engine {
+            1 => vec![TableLine {
+                name: "F table (1 slot/node)",
+                resident: size * label_cell,
+                budgeted: budget_bytes.and_then(|b| capped(b, size)),
+            }],
+            2 => {
+                // The general engine splits one budget across three
+                // tables by slot weight: f and attempts get slots each,
+                // next_e gets size.
+                let total = slots * 2 + size;
+                vec![
+                    TableLine {
+                        name: "F table (x slots/node)",
+                        resident: slots * label_cell,
+                        budgeted: budget_bytes.and_then(|b| capped(b * slots / total, slots)),
+                    },
+                    TableLine {
+                        name: "attempt counters (u32)",
+                        resident: slots * 4,
+                        budgeted: budget_bytes.and_then(|b| capped(b * slots / total, slots)),
+                    },
+                    TableLine {
+                        name: "node cursors",
+                        resident: size * pa_core::store::cell_bytes(x),
+                        budgeted: budget_bytes.and_then(|b| capped(b * size / total, size)),
+                    },
+                    TableLine {
+                        name: "hub cache (replicated)",
+                        resident: hub_nodes * x * 8,
+                        budgeted: None,
+                    },
+                ]
+            }
+            _ => vec![
                 TableLine {
                     name: "F table (x slots/node)",
-                    resident: slots * 8,
-                    budgeted: budget_bytes.and_then(|b| capped(b * slots / total, slots)),
+                    resident: slots * label_cell,
+                    budgeted: budget_bytes.and_then(|b| capped(b, slots)),
                 },
                 TableLine {
-                    name: "attempt counters",
-                    resident: slots * 8,
-                    budgeted: budget_bytes.and_then(|b| capped(b * slots / total, slots)),
-                },
-                TableLine {
-                    name: "node cursors",
-                    resident: size * 8,
-                    budgeted: budget_bytes.and_then(|b| capped(b * size / total, size)),
-                },
-                TableLine {
-                    name: "hub cache (replicated)",
-                    resident: hub_nodes * x * 8,
+                    name: "node cursors (u32)",
+                    resident: size * 4,
                     budgeted: None,
                 },
-            ]
+                TableLine {
+                    name: "chain memo",
+                    resident: ChainMemoLayout::plan(
+                        &part,
+                        rank,
+                        memo_nodes,
+                        budget_bytes.is_some(),
+                    )
+                    .bytes(n, x),
+                    budgeted: None,
+                },
+            ],
         }
-        _ => vec![
-            TableLine {
-                name: "F table (x slots/node)",
-                resident: slots * 8,
-                budgeted: budget_bytes.and_then(|b| capped(b, slots)),
-            },
-            TableLine {
-                name: "node cursors (u32)",
-                resident: size * 4,
-                budgeted: None,
-            },
-            TableLine {
-                name: "chain memo (worst case)",
-                resident: memo_nodes.min(size) * x * 8,
-                budgeted: None,
-            },
-        ],
     };
+    // Report the rank with the largest resident footprint: it bounds
+    // every rank (with an unbalanced scheme the smallest rank can carry
+    // the largest chain memo).
+    let resident = |lines: &[TableLine]| lines.iter().map(|l| l.resident).sum::<u64>();
+    let (rank, lines) = (0..ranks)
+        .map(|r| (r, lines_for(r)))
+        .max_by_key(|(r, lines)| (resident(lines), std::cmp::Reverse(*r)))
+        .expect("ranks > 0");
+    let size = part.size_of(rank);
+    let slots = size * x;
 
     writeln!(
         out,
         "per-rank memory estimate: n={n} x={x} ranks={ranks} scheme={scheme} engine={engine}"
     )
     .map_err(CliError::io)?;
-    writeln!(out, "largest rank: {size} nodes ({slots} F slots)").map_err(CliError::io)?;
+    writeln!(
+        out,
+        "largest footprint: rank {rank}, {size} nodes ({slots} F slots)"
+    )
+    .map_err(CliError::io)?;
     let mut resident_total = 0u64;
     let mut budgeted_total = 0u64;
     for l in &lines {

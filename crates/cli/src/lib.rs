@@ -88,7 +88,8 @@ COMMANDS:
                pa tuning: --buffer-cap <msgs> (default 4096)
                           --service-interval <nodes> (default 4096)
                           --hub-cache auto|off|<nodes> (default auto)
-                          --chain-memo <nodes> (engine 3 memo rows; default 1048576, 0 off)
+                          --chain-memo <nodes> (engine 3 memo rows; default every
+                          remote row, 1048576 under --memory-budget; 0 off)
                           --idle-wait-us <µs> (default 200)
                           --idle-flush-interval <waits> (default 16)
                pa chaos:  --chaos-profile off|light|aggressive (default off)

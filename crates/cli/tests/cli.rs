@@ -576,3 +576,55 @@ fn chain_memo_rejects_non_integer_values() {
         );
     }
 }
+
+#[test]
+fn info_sizes_tables_and_chain_memo_like_the_engines() {
+    use pa_core::par::ChainMemoLayout;
+    use pa_core::partition::{self, Scheme};
+
+    fn line<'a>(info: &'a str, name: &str) -> &'a str {
+        info.lines()
+            .find(|l| l.trim_start().starts_with(name))
+            .unwrap_or_else(|| panic!("no {name:?} line in:\n{info}"))
+    }
+    fn mib(bytes: u64) -> String {
+        format!("{:.1} MiB", bytes as f64 / (1024.0 * 1024.0))
+    }
+
+    // n = 4e6, x = 4, two balanced RRP ranks: 2e6 nodes each.
+    let base = ["info", "--n", "4000000", "--x", "4", "--engine", "3"];
+    let run = |extra: &[&str]| exec(&[&base[..], extra].concat()).unwrap();
+    let part = partition::build(Scheme::Rrp, 4_000_000, 2);
+    let memo = |nodes: u64, paged: bool| {
+        mib(ChainMemoLayout::plan(&part, 0, nodes, paged).bytes(4_000_000, 4))
+    };
+
+    let info = run(&["--ranks", "2"]);
+    // u32 F cells: 2e6 nodes · 4 slots · 4 B.
+    assert!(line(&info, "F table").contains(&mib(32_000_000)), "{info}");
+    // Default memo: every remote row, untagged, 4 B cells.
+    assert_eq!(
+        memo(pa_core::DEFAULT_CHAIN_MEMO_NODES, false),
+        mib(32_000_000)
+    );
+    assert!(
+        line(&info, "chain memo").contains(&mib(32_000_000)),
+        "{info}"
+    );
+
+    // Under a budget the default stays at 2^20 hashed rows of 1 + x cells.
+    let info = run(&["--ranks", "2", "--memory-budget", "64m"]);
+    assert_eq!(memo(pa_core::DEFAULT_CHAIN_MEMO_NODES, true), mib(20 << 20));
+    assert!(line(&info, "chain memo").contains(&mib(20 << 20)), "{info}");
+
+    // An explicit size below the remote row count is hashed.
+    let info = run(&["--ranks", "2", "--chain-memo", "1000000"]);
+    assert!(
+        line(&info, "chain memo").contains(&memo(1_000_000, false)),
+        "{info}"
+    );
+
+    // One rank recomputes nothing and allocates no memo.
+    let info = run(&["--ranks", "1"]);
+    assert!(line(&info, "chain memo").ends_with(" 0 B"), "{info}");
+}

@@ -246,9 +246,12 @@ fn connecting_to_a_dead_peer_exits_nonzero_and_names_the_rank() {
 
 #[test]
 fn killing_a_rank_mid_run_fails_the_survivor_with_a_diagnostic() {
-    // A 2-rank world big enough to still be generating half a second in
-    // (a dev-profile run of this size takes multiple seconds); rank 1 is
-    // killed mid-flight and rank 0 must abort naming it, not hang.
+    // A 2-rank world; rank 1 is killed once rank 0 is observed
+    // generating (its part file has grown past zero), and rank 0 must
+    // abort naming it, not hang. Killing on observed progress rather
+    // than after a fixed sleep keeps the scenario valid however fast
+    // the build is; if either rank finished before the kill, the test
+    // says so instead of passing or failing on the race.
     let peers = ports(2).join(",");
     let out_path = tmp("killed.bin");
     let spawn = |rank: &str| {
@@ -281,11 +284,30 @@ fn killing_a_rank_mid_run_fails_the_survivor_with_a_diagnostic() {
             .spawn()
             .unwrap()
     };
+    let part0 = format!("{out_path}.part0");
+    let _ = std::fs::remove_file(&part0);
     let mut rank0 = spawn("0");
     let mut rank1 = spawn("1");
-    std::thread::sleep(Duration::from_millis(500));
+    let start = Instant::now();
+    while std::fs::metadata(&part0).map_or(0, |m| m.len()) == 0 {
+        if let Some(status) = rank0.try_wait().unwrap() {
+            let _ = rank1.kill();
+            panic!(
+                "scenario not exercised: rank 0 exited ({status}) before it was seen generating"
+            );
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "rank 0 never started writing {part0}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
     rank1.kill().unwrap();
-    let _ = rank1.wait();
+    let killed = rank1.wait().unwrap();
+    assert!(
+        !killed.success(),
+        "scenario not exercised: rank 1 finished before the kill"
+    );
 
     let status = wait_bounded(
         &mut rank0,

@@ -86,14 +86,18 @@ impl PaConfig {
 pub const DEFAULT_HUB_CACHE_NODES: u64 = 4096;
 
 /// Default chain-memo capacity in *nodes* for the communication-free
-/// engine (engine3): roughly how many recomputed rows each rank keeps
-/// to deduplicate shared chain suffixes (the engine clamps it to `n`
-/// and rounds up to a power of two — direct-mapped slots). The memo is
-/// a pure-function cache, so its size never affects the generated
-/// network — only the amount of redundant recomputation, which grows
-/// steeply once hot low-label rows stop fitting; hence a generous
-/// default (`x = 4` at the full default size costs ~40 MB per rank).
-pub const DEFAULT_CHAIN_MEMO_NODES: u64 = 1 << 20;
+/// engine (engine3): unbounded, i.e. one slot for every remote row, so
+/// each remote row prefix is recomputed at most once. At `P = 2` that
+/// costs as much as the rank's own `F` table (`4·x` bytes per remote
+/// node when `n < 2³²`); see [`crate::par::ChainMemoLayout`]. The memo
+/// is a pure-function cache, so its size never affects the generated
+/// network — only the amount of redundant recomputation.
+pub const DEFAULT_CHAIN_MEMO_NODES: u64 = u64::MAX;
+
+/// The default chain-memo capacity under a paged store
+/// (`--memory-budget`): `2²⁰` hashed rows (~20 MB per rank at `x = 4`),
+/// so a budgeted run's resident memory stays bounded.
+pub const BUDGETED_CHAIN_MEMO_NODES: u64 = 1 << 20;
 
 /// Tuning knobs for the parallel engines.
 ///
@@ -146,11 +150,15 @@ pub struct GenOptions {
     /// runs the whole range as a single epoch (no extra barriers).
     pub checkpoint_interval: Option<u64>,
     /// Chain-memo capacity in *nodes* for engine3's local recomputation:
-    /// each rank memoizes this many recently resolved remote rows
-    /// (FIFO-evicted) so chains sharing a suffix are walked once, not
-    /// once per referencing edge. `0` disables the memo. Because every
-    /// memoized row is a pure function of the seed, the memo size cannot
-    /// change the generated network (pinned by the determinism suite).
+    /// each rank memoizes up to this many recomputed remote row prefixes
+    /// so chains sharing a suffix are walked once, not once per
+    /// referencing edge. A capacity covering every remote row (the
+    /// default, [`DEFAULT_CHAIN_MEMO_NODES`]) gives each its own slot;
+    /// a smaller one is a direct-mapped hash table, where a colliding
+    /// row overwrites the previous occupant. `0` disables the memo.
+    /// Because every memoized row is a pure function of the seed, the
+    /// memo size cannot change the generated network (pinned by the
+    /// determinism suite).
     pub chain_memo_nodes: u64,
     /// Which attachment model to generate (see [`crate::ModelKind`]).
     /// The default is the paper's copy model; `Nlpa { alpha }` re-weights

@@ -74,7 +74,10 @@ pub mod seq;
 pub mod store;
 pub mod ws;
 
-pub use config::{GenOptions, PaConfig, DEFAULT_CHAIN_MEMO_NODES, DEFAULT_HUB_CACHE_NODES};
+pub use config::{
+    GenOptions, PaConfig, BUDGETED_CHAIN_MEMO_NODES, DEFAULT_CHAIN_MEMO_NODES,
+    DEFAULT_HUB_CACHE_NODES,
+};
 pub use model::{Model, ModelKind};
 
 /// The fault-injection schedule consumed by [`GenOptions::fault_plan`]

@@ -51,11 +51,22 @@ use crate::GenOptions;
 /// Owns the two outgoing message buffers of §3.5 (requests and
 /// resolutions, with their distinct flush disciplines) and the
 /// termination handle; borrows the transport.
+///
+/// Completions are counted locally and handed to the termination handle
+/// only at *settle points*: after each service round of the sweep, at
+/// the end of the sweep, and before every `is_done`/`outstanding` read
+/// of the completion loop. On the in-process world `complete` is an
+/// atomic on a cache line every rank shares, so settling per commit
+/// would bounce that line once per edge. Deferring completions can only
+/// delay termination, never advance it: the shared count never falls
+/// below the true outstanding work.
 pub(super) struct Net<'t, M, T: Transport<M>> {
     pub comm: &'t mut T,
     req: BufferedComm<M>,
     res: BufferedComm<M>,
     term: pa_mpsim::TerminationHandle,
+    /// Completions not yet handed to `term`.
+    unsettled: u64,
 }
 
 impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
@@ -72,10 +83,30 @@ impl<'t, M: Send, T: Transport<M>> Net<'t, M, T> {
         self.res.push(&mut *self.comm, dest, msg);
     }
 
-    /// Mark `n` units of outstanding work resolved.
+    /// Mark `n` units of outstanding work resolved (published at the
+    /// next settle point).
     #[inline]
-    pub fn complete(&self, n: u64) {
-        self.term.complete(n);
+    pub fn complete(&mut self, n: u64) {
+        self.unsettled += n;
+    }
+
+    /// Hand every locally counted completion to the termination handle.
+    fn settle(&mut self) {
+        if self.unsettled != 0 {
+            self.term.complete(std::mem::take(&mut self.unsettled));
+        }
+    }
+
+    /// Settle, then ask whether the world is quiescent.
+    fn is_done(&mut self) -> bool {
+        self.settle();
+        self.term.is_done()
+    }
+
+    /// Settle, then read the world's outstanding-work count.
+    fn outstanding(&mut self) -> i64 {
+        self.settle();
+        self.term.outstanding()
     }
 
     fn flush_res(&mut self) {
@@ -150,6 +181,7 @@ where
         req: BufferedComm::new(comm.nranks(), opts.buffer_capacity),
         res: BufferedComm::new(comm.nranks(), opts.buffer_capacity),
         term: comm.termination(),
+        unsettled: 0,
         comm,
     };
 
@@ -185,6 +217,7 @@ where
             if since_service >= opts.service_interval {
                 since_service = 0;
                 service(&mut algo, &mut net, &mut rxq);
+                net.settle();
                 // §3.5.2: resolved messages must not linger in buffers.
                 net.flush_res();
                 // Let other ranks advance their sweeps: on an oversubscribed
@@ -195,6 +228,7 @@ where
         }
         // End-of-sweep flush: requests may now wait for nobody.
         net.flush_all();
+        net.settle();
 
         // --- Completion loop: service traffic until global quiescence. ---
         // Iterations that made progress flush immediately; quiescent ranks
@@ -210,16 +244,16 @@ where
         // what lets the scoped world join instead of hanging.
         let mut watchdog = opts
             .stall_timeout
-            .map(|limit| (std::time::Instant::now(), net.term.outstanding(), limit));
+            .map(|limit| (std::time::Instant::now(), net.outstanding(), limit));
         let mut idle_iters = 0usize;
-        while !net.term.is_done() {
+        while !net.is_done() {
             if service(&mut algo, &mut net, &mut rxq) {
                 idle_iters = 0;
                 net.flush_all();
                 if let Some((last_progress, _, _)) = &mut watchdog {
                     *last_progress = std::time::Instant::now();
                 }
-            } else if !net.term.is_done() {
+            } else if !net.is_done() {
                 idle_iters += 1;
                 if idle_iters >= opts.idle_flush_interval {
                     idle_iters = 0;
@@ -236,7 +270,7 @@ where
                         *last_progress = std::time::Instant::now();
                     }
                 } else if let Some((last_progress, last_outstanding, limit)) = &mut watchdog {
-                    let outstanding = net.term.outstanding();
+                    let outstanding = net.outstanding();
                     if outstanding != *last_outstanding {
                         *last_outstanding = outstanding;
                         *last_progress = std::time::Instant::now();
@@ -267,6 +301,10 @@ where
         // (only untracked hub broadcasts may remain buffered; with every slot
         // below `hi` committed everywhere they carry no information).
         debug_assert_eq!(net.req.pending_total(), 0);
+        debug_assert_eq!(
+            net.unsettled, 0,
+            "rank {rank} left its completion loop with unsettled completions"
+        );
         algo.finish();
 
         if hi < n {

@@ -45,6 +45,7 @@ pub use msg::{Msg, Msg1};
 pub use output::{EngineCounters, ParallelOutput, RankOutput};
 pub use restart::WorldCheckpoint;
 pub use sink::{CountSink, DegreeCountSink, EdgeSink, StreamingWriterSink};
+pub use strategy::ChainMemoLayout;
 
 use crate::partition::{self, AnyPartition, Partition, Scheme};
 use crate::{GenOptions, PaConfig};
@@ -877,21 +878,75 @@ mod tests {
     #[test]
     fn engine3_memo_size_never_changes_the_network() {
         // The chain memo caches values of a pure function, so any
-        // capacity — including 0 (disabled) and 1 (constant eviction) —
-        // must yield the identical edge set.
+        // capacity — 0 (disabled), 1 (constant eviction), a hashed table
+        // one row short of a rank's remote row count, or the default
+        // direct table indexed by remote ordinal — must yield the
+        // identical edge set, on balanced and unbalanced partitions.
         let cfg = PaConfig::new(2_000, 3).with_seed(19);
         let reference = seq::copy_model(&cfg).canonicalized();
-        for memo in [0u64, 1, 16, 1 << 20] {
-            let out = generate3(&cfg, Scheme::Ucp, 4, &opts().with_chain_memo(memo));
-            assert_eq!(
-                out.edge_list().canonicalized(),
-                reference,
-                "chain_memo_nodes = {memo}"
-            );
+        for scheme in Scheme::EXTENDED {
+            for nranks in [2usize, 3, 4] {
+                let part = partition::build(scheme, cfg.n, nranks);
+                let mut sizes = vec![0, 1, 16, crate::DEFAULT_CHAIN_MEMO_NODES];
+                for r in 0..nranks {
+                    let remote = cfg.n - part.size_of(r);
+                    // One row short of the remote count is the last
+                    // hashed size; the remote count is the first direct.
+                    assert_eq!(
+                        ChainMemoLayout::plan(&part, r, remote - 1, false),
+                        ChainMemoLayout::Hashed {
+                            slots: (remote - 1).next_power_of_two()
+                        }
+                    );
+                    assert_eq!(
+                        ChainMemoLayout::plan(&part, r, remote, false),
+                        ChainMemoLayout::Direct { rows: remote }
+                    );
+                    sizes.push(remote - 1);
+                }
+                sizes.sort_unstable();
+                sizes.dedup();
+                for memo in sizes {
+                    let out = generate3(&cfg, scheme, nranks, &opts().with_chain_memo(memo));
+                    assert_eq!(
+                        out.edge_list().canonicalized(),
+                        reference,
+                        "{scheme}, P={nranks}, chain_memo_nodes = {memo}"
+                    );
+                }
+            }
         }
         // A warm memo must actually be hit at these sizes.
         let out = generate3(&cfg, Scheme::Ucp, 4, &opts());
         assert!(out.total_counters().chain_memo_hits > 0, "memo never hit");
+    }
+
+    #[test]
+    fn engine3_recomputes_each_remote_row_slot_at_most_once() {
+        // With the default memo every remote row has its own slot, so a
+        // walk recomputes a row only to extend its cached prefix by at
+        // least one slot: at most x recomputations per remote row. With
+        // no collisions the count is a pure function of the inputs.
+        let cfg = PaConfig::new(20_000, 4).with_seed(7);
+        let part = partition::build(Scheme::Rrp, cfg.n, 2);
+        let runs: Vec<Vec<u64>> = (0..2)
+            .map(|_| {
+                let out = generate3(&cfg, Scheme::Rrp, 2, &opts());
+                out.ranks
+                    .iter()
+                    .map(|r| r.counters.chain_rows_recomputed)
+                    .collect()
+            })
+            .collect();
+        for (rank, &recomputed) in runs[0].iter().enumerate() {
+            let remote = cfg.n - part.size_of(rank);
+            assert!(recomputed > 0, "rank {rank} recomputed nothing");
+            assert!(
+                recomputed <= cfg.x * remote,
+                "rank {rank}: {recomputed} rows recomputed for {remote} remote rows"
+            );
+        }
+        assert_eq!(runs[0], runs[1], "recompute count varies between runs");
     }
 
     #[test]

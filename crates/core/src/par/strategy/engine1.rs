@@ -56,7 +56,8 @@ impl<'a, P: Partition, S: EdgeSink> X1<'a, P, S> {
     ) -> Self {
         assert_eq!(cfg.x, 1, "Algorithm 3.1 requires x = 1");
         let size = part.size_of(rank);
-        let f = AnyTable::build(&opts.store, rank, "f", size, NILL)
+        // Values are node labels: below n.
+        let f = AnyTable::build(&opts.store, rank, "f", size, NILL, cfg.n - 1)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         X1 {
             part,

@@ -123,18 +123,35 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         // slot-count weight: f and attempts each hold x slots per node,
         // next_e one. The two ephemeral tables always start fresh.
         let total = slots * 2 + size;
-        let build = |spec: &store::StoreSpec, name: &str, len: u64, fill: u64| {
-            AnyTable::build(spec, rank, name, len, fill)
+        // Each table declares its largest value, which lets a resident
+        // table use u32 cells: node labels (< n), attempt counters (the
+        // draws made for one slot — a u32 on the wire, and in practice a
+        // handful) and cursors (≤ x).
+        let build = |spec: &store::StoreSpec, name: &str, len: u64, fill: u64, max: u64| {
+            AnyTable::build(spec, rank, name, len, fill, max)
                 .unwrap_or_else(|e| panic!("rank {rank}: opening node table {name}: {e}"))
         };
-        let f = build(&opts.store.scaled(slots, total), "f", slots, NILL);
+        let f = build(
+            &opts.store.scaled(slots, total),
+            "f",
+            slots,
+            NILL,
+            cfg.n - 1,
+        );
         let attempts = build(
             &opts.store.scaled(slots, total).ephemeral(),
             "att",
             slots,
             0,
+            u64::from(u32::MAX) - 1,
         );
-        let next_e = build(&opts.store.scaled(size, total).ephemeral(), "nxe", size, 0);
+        let next_e = build(
+            &opts.store.scaled(size, total).ephemeral(),
+            "nxe",
+            size,
+            0,
+            x,
+        );
         General {
             cfg,
             part,

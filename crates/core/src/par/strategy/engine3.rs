@@ -37,19 +37,24 @@
 //! resume state).
 //!
 //! **Chain memo.** High-`x` runs repeatedly walk chains that share a
-//! suffix (hubs are referenced over and over — Lemma 3.4). A bounded
-//! *direct-mapped* memo of recomputed rows deduplicates those shared
-//! suffixes: `2^b` slots, each holding one node's full row; a colliding
-//! insert simply overwrites (losing a cached pure-function value is
-//! harmless). That shape keeps the hot path allocation- and hash-free —
-//! one multiply, one shift, one tag compare — where a `HashMap` memo
-//! spends more time hashing than recomputing. The memo caches values of
-//! a pure function, so its size — including 0 — cannot change the
-//! output, only the amount of redundant recomputation; a determinism
-//! test sweeps memo sizes to pin that invariant. Completed chain frames
-//! hand their value *directly* to the waiting parent frame rather than
-//! relying on a memo hit, so overwriting (or a disabled memo) can never
-//! stall a walk.
+//! suffix (hubs are referenced over and over — Lemma 3.4). A memo of
+//! recomputed row prefixes deduplicates those shared suffixes. By
+//! default it has one untagged slot per *remote* node, indexed by the
+//! node's remote ordinal (`base[owner] + local_index(k)`): no slot is
+//! spent on the rank's own labels, no collisions, so each remote row
+//! prefix is recomputed at most once, and one rank (nothing remote)
+//! allocates nothing. A smaller configured capacity (or the default
+//! under `--memory-budget`) falls back to `2^b` hashed slots, each
+//! tagged with its label, where a colliding insert simply overwrites
+//! (losing a cached pure-function value is harmless). Either way the hot
+//! path stays allocation-free — where a `HashMap` memo spends more time
+//! hashing than recomputing — and cells are `u32` whenever every label
+//! fits. The memo caches values of a pure function, so its size —
+//! including 0 — cannot change the output, only the amount of redundant
+//! recomputation; a determinism test sweeps memo sizes and partitions to
+//! pin that invariant. Completed chain frames hand their value
+//! *directly* to the waiting parent frame rather than relying on a memo
+//! hit, so overwriting (or a disabled memo) can never stall a walk.
 
 use pa_mpsim::Transport;
 use pa_rng::EventKeys;
@@ -61,7 +66,7 @@ use crate::par::output::EngineCounters;
 use crate::par::sink::EdgeSink;
 use crate::partition::Partition;
 use crate::seq::Choice;
-use crate::store::{self, AnyTable, NodeTable};
+use crate::store::{self, AnyTable, Cell, NodeTable};
 use crate::{GenOptions, Model, Node, PaConfig, NILL};
 
 /// One suspended row recomputation in the chain walk: node `k`'s
@@ -71,6 +76,8 @@ struct Frame {
     /// The node whose row this frame is recomputing (always `> x` and
     /// remote to this rank).
     k: Node,
+    /// `k`'s memo slot.
+    at: usize,
     /// Hoisted key prefix for `k`'s draws.
     keys: EventKeys,
     /// Committed row values so far (`len()` is the current slot; may
@@ -88,116 +95,137 @@ struct Frame {
 
 /// What one stepping of the top frame concluded.
 enum Step {
-    /// The frame needs node `k`'s row recomputed first.
-    NeedChild(Node),
+    /// The frame needs node `k`'s row (memo slot `at`) recomputed first.
+    NeedChild { k: Node, at: usize },
     /// The frame's row is complete.
     Done,
 }
 
-/// One memo cell: a node label or the empty/undrawn sentinel. `u32`
-/// when every label fits (the common case — half the memory, and a
-/// slot's tag + row share a cache line), `u64` otherwise.
-trait Cell: Copy + Eq {
-    /// The sentinel (empty tag / undrawn row slot).
-    const NIL: Self;
-    fn from_node(v: Node) -> Self;
-    fn to_node(self) -> Node;
+/// How one rank lays out its chain memo — a pure function of the
+/// partition, the rank and [`GenOptions::chain_memo_nodes`]. The engine
+/// allocates exactly this, and `pagen info` sizes the memo from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainMemoLayout {
+    /// No memo: the rank owns every node (nothing is ever recomputed),
+    /// or the memo is disabled (`chain_memo_nodes = 0`).
+    Off,
+    /// One untagged row per remote node, indexed by the node's *remote
+    /// ordinal* (its position among the nodes this rank does not own).
+    /// Collision-free, so each remote row prefix is recomputed at most
+    /// once between checkpoint restores.
+    Direct {
+        /// Remote node count: `n − size_of(rank)`.
+        rows: u64,
+    },
+    /// Fewer slots than remote rows: `slots` (a power of two) rows,
+    /// each tagged with its label and indexed by a label hash; a
+    /// colliding insert overwrites.
+    Hashed {
+        /// Slot count.
+        slots: u64,
+    },
 }
 
-impl Cell for u32 {
-    const NIL: Self = u32::MAX;
-    #[inline]
-    fn from_node(v: Node) -> Self {
-        v as u32
+impl ChainMemoLayout {
+    /// The layout `rank` uses for a configured capacity of `memo_nodes`
+    /// rows ([`GenOptions::chain_memo_nodes`]), with or without a paged
+    /// store. The default capacity covers every remote row, except under
+    /// a paged store, where it stays at
+    /// [`crate::BUDGETED_CHAIN_MEMO_NODES`] rows so a budgeted run's
+    /// resident memory stays bounded.
+    pub fn plan<P: Partition>(part: &P, rank: usize, memo_nodes: u64, paged: bool) -> Self {
+        let remote = part.num_nodes() - part.size_of(rank);
+        let cap = if memo_nodes == crate::DEFAULT_CHAIN_MEMO_NODES && paged {
+            crate::BUDGETED_CHAIN_MEMO_NODES
+        } else {
+            memo_nodes
+        };
+        if cap == 0 || remote == 0 {
+            ChainMemoLayout::Off
+        } else if cap >= remote {
+            ChainMemoLayout::Direct { rows: remote }
+        } else {
+            ChainMemoLayout::Hashed {
+                slots: cap.next_power_of_two(),
+            }
+        }
     }
-    #[inline]
-    fn to_node(self) -> Node {
-        Node::from(self)
+
+    /// Resident bytes of this layout for `n` nodes with `x` edges each:
+    /// `x` cells per direct row, `1 + x` (tag + row) per hashed slot,
+    /// with [`store::cell_bytes`] per cell.
+    pub fn bytes(self, n: u64, x: u64) -> u64 {
+        let cell = store::cell_bytes(n.saturating_sub(1));
+        match self {
+            ChainMemoLayout::Off => 0,
+            ChainMemoLayout::Direct { rows } => rows * x * cell,
+            ChainMemoLayout::Hashed { slots } => slots * (1 + x) * cell,
+        }
     }
 }
 
-impl Cell for u64 {
-    const NIL: Self = NILL;
-    #[inline]
-    fn from_node(v: Node) -> Self {
-        v
-    }
-    #[inline]
-    fn to_node(self) -> Node {
-        self
-    }
-}
-
-/// Direct-mapped slot table: `2^b` slots of `1 + x` cells each
-/// (`[tag, row...]`, interleaved so a hit costs one memory access), one
-/// cached row prefix per slot, collision = overwrite.
+/// Memo slots: `x` row cells each, preceded by a label tag when slots
+/// are shared (hashed layout). Tag and row sit together so a hit costs
+/// one memory access; undrawn row cells hold the sentinel.
 struct Slots<C: Cell> {
     entries: Vec<C>,
-    /// Slot count minus one (slot count is a power of two).
-    mask: usize,
-    /// Identity indexing (budget ≥ n): `slot = k`, collision-free.
-    direct: bool,
-    /// Cells per slot: `1 + x`.
+    /// Cells per slot: `x`, plus one when `tagged`.
     stride: usize,
+    tagged: bool,
 }
 
 impl<C: Cell> Slots<C> {
-    fn new(slots: usize, n: u64, x: u64) -> Self {
+    fn new(slots: u64, x: u64, tagged: bool) -> Self {
+        let stride = x as usize + usize::from(tagged);
         Slots {
-            entries: vec![C::NIL; slots * (1 + x as usize)],
-            mask: slots - 1,
-            direct: slots as u64 >= n,
-            stride: 1 + x as usize,
+            entries: vec![C::NIL; slots as usize * stride],
+            stride,
+            tagged,
         }
     }
 
-    /// Base cell of node `k`'s slot: indexed by the label itself when
-    /// every node fits, else by the middle bits of a golden-ratio
-    /// product (multiplicative hashing).
+    /// The row cells of slot `at` if they belong to node `k`.
     #[inline]
-    fn base(&self, k: Node) -> usize {
-        let i = if self.direct {
-            k as usize
+    fn row(&self, at: usize, k: Node) -> Option<&[C]> {
+        let base = at * self.stride;
+        if self.tagged {
+            (self.entries[base] == C::encode(k))
+                .then(|| &self.entries[base + 1..base + self.stride])
         } else {
-            ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & self.mask
-        };
-        i * self.stride
+            Some(&self.entries[base..base + self.stride])
+        }
     }
 
     #[inline]
-    fn get_slot(&self, k: Node, l: u64) -> Option<Node> {
-        let base = self.base(k);
-        if self.entries[base] != C::from_node(k) {
-            return None;
-        }
-        let v = self.entries[base + 1 + l as usize];
-        (v != C::NIL).then(|| v.to_node())
+    fn get_slot(&self, at: usize, k: Node, l: u64) -> Option<Node> {
+        let v = self.row(at, k)?[l as usize];
+        (v != C::NIL).then(|| v.decode())
     }
 
-    fn copy_prefix_into(&self, k: Node, out: &mut Vec<Node>) {
-        let base = self.base(k);
-        if self.entries[base] != C::from_node(k) {
-            return;
+    fn copy_prefix_into(&self, at: usize, k: Node, out: &mut Vec<Node>) {
+        if let Some(row) = self.row(at, k) {
+            out.extend(row.iter().take_while(|&&v| v != C::NIL).map(|v| v.decode()));
         }
-        out.extend(
-            self.entries[base + 1..base + self.stride]
-                .iter()
-                .take_while(|&&v| v != C::NIL)
-                .map(|v| v.to_node()),
-        );
     }
 
-    fn insert(&mut self, k: Node, row: &[Node]) {
-        let base = self.base(k);
-        self.entries[base] = C::from_node(k);
-        for (cell, &v) in self.entries[base + 1..base + self.stride]
+    fn insert(&mut self, at: usize, k: Node, row: &[Node]) {
+        let base = at * self.stride;
+        let cells = if self.tagged {
+            self.entries[base] = C::encode(k);
+            &mut self.entries[base + 1..base + self.stride]
+        } else {
+            &mut self.entries[base..base + self.stride]
+        };
+        for (cell, &v) in cells
             .iter_mut()
             .zip(row.iter().chain(std::iter::repeat(&NILL)))
         {
-            *cell = if v == NILL { C::NIL } else { C::from_node(v) };
+            *cell = C::encode(v);
         }
     }
 
+    /// Slots holding a row (a cached prefix is never empty, so slot 0 of
+    /// the row — or the tag — is set).
     fn occupied(&self) -> usize {
         self.entries
             .chunks_exact(self.stride)
@@ -210,79 +238,109 @@ impl<C: Cell> Slots<C> {
     }
 }
 
-/// Direct-mapped cache of recomputed remote row prefixes. Disabled when
-/// the configured size is 0; compact (`u32` cells) whenever every label
-/// fits. When the budget covers every node the slot index is the label
-/// itself — no hashing, no collisions, so each remote row slot is
-/// recomputed at most once between checkpoint restores.
-enum Memo {
+/// The memo's cells: none, `u32` when every label fits, else `u64`.
+enum Cells {
     Off,
     Compact(Slots<u32>),
     Wide(Slots<u64>),
 }
 
-impl Memo {
-    /// `cap` is the configured row budget; it is clamped to `n` (no point
-    /// caching more rows than exist) and rounded up to a power of two.
-    fn new(cap: u64, n: u64, x: u64) -> Memo {
-        if cap == 0 {
-            return Memo::Off;
+/// How a remote node finds its memo slot.
+enum Index {
+    /// Direct layout: slot = `base[owner] + local_index(k)`, where
+    /// `base[r]` counts the remote nodes owned by ranks below `r`.
+    Ordinal(Vec<u64>),
+    /// Hashed layout: the middle bits of a golden-ratio product of the
+    /// label (multiplicative hashing), masked to the slot count.
+    Hashed(usize),
+}
+
+/// Cache of recomputed remote row prefixes, laid out per
+/// [`ChainMemoLayout`]. A pure-function cache: its size cannot change
+/// the output.
+struct Memo {
+    cells: Cells,
+    index: Index,
+}
+
+/// Dispatch `$body` over the memo's cell width (`$default` when off).
+macro_rules! with_slots {
+    ($memo:expr, $s:ident => $body:expr, $default:expr) => {
+        match $memo {
+            Cells::Off => $default,
+            Cells::Compact($s) => $body,
+            Cells::Wide($s) => $body,
         }
-        let slots = cap.min(n).next_power_of_two() as usize;
-        // u32::MAX itself is the sentinel, so labels must stay below it.
-        if n < u64::from(u32::MAX) {
-            Memo::Compact(Slots::new(slots, n, x))
+    };
+}
+
+impl Memo {
+    fn new<P: Partition>(layout: ChainMemoLayout, part: &P, rank: usize, x: u64) -> Memo {
+        let n = part.num_nodes();
+        let (slots, index, tagged) = match layout {
+            ChainMemoLayout::Off => {
+                return Memo {
+                    cells: Cells::Off,
+                    index: Index::Hashed(0),
+                }
+            }
+            ChainMemoLayout::Direct { rows } => {
+                let mut base = Vec::with_capacity(part.nranks());
+                let mut acc = 0;
+                for r in 0..part.nranks() {
+                    base.push(acc);
+                    if r != rank {
+                        acc += part.size_of(r);
+                    }
+                }
+                debug_assert_eq!(acc, rows, "remote ordinals must cover the remote rows");
+                (rows, Index::Ordinal(base), false)
+            }
+            ChainMemoLayout::Hashed { slots } => (slots, Index::Hashed(slots as usize - 1), true),
+        };
+        let cells = if store::fits_u32(n - 1) {
+            Cells::Compact(Slots::new(slots, x, tagged))
         } else {
-            Memo::Wide(Slots::new(slots, n, x))
+            Cells::Wide(Slots::new(slots, x, tagged))
+        };
+        Memo { cells, index }
+    }
+
+    /// The slot of remote node `k`, owned by rank `owner`.
+    #[inline]
+    fn at<P: Partition>(&self, part: &P, k: Node, owner: usize) -> usize {
+        match &self.index {
+            Index::Ordinal(base) => (base[owner] + part.local_index(k)) as usize,
+            Index::Hashed(mask) => ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & mask,
         }
     }
 
-    /// Cached value of slot `l` of `k`'s row, if that prefix has been
-    /// computed.
+    /// Cached value of slot `l` of `k`'s row (memo slot `at`), if that
+    /// prefix has been computed.
     #[inline]
-    fn get_slot(&self, k: Node, l: u64) -> Option<Node> {
-        match self {
-            Memo::Off => None,
-            Memo::Compact(s) => s.get_slot(k, l),
-            Memo::Wide(s) => s.get_slot(k, l),
-        }
+    fn get_slot(&self, at: usize, k: Node, l: u64) -> Option<Node> {
+        with_slots!(&self.cells, s => s.get_slot(at, k, l), None)
     }
 
     /// Append the committed prefix cached for `k` to `out` (nothing when
     /// another node occupies the slot) — the complete resume state for
     /// extending the row to a higher slot.
-    fn copy_prefix_into(&self, k: Node, out: &mut Vec<Node>) {
-        match self {
-            Memo::Off => {}
-            Memo::Compact(s) => s.copy_prefix_into(k, out),
-            Memo::Wide(s) => s.copy_prefix_into(k, out),
-        }
+    fn copy_prefix_into(&self, at: usize, k: Node, out: &mut Vec<Node>) {
+        with_slots!(&self.cells, s => s.copy_prefix_into(at, k, out), ())
     }
 
     /// Cache `row` (a true prefix of `k`'s full row); slots beyond it
     /// are marked undrawn in case a colliding row is being overwritten.
-    fn insert(&mut self, k: Node, row: &[Node]) {
-        match self {
-            Memo::Off => {}
-            Memo::Compact(s) => s.insert(k, row),
-            Memo::Wide(s) => s.insert(k, row),
-        }
+    fn insert(&mut self, at: usize, k: Node, row: &[Node]) {
+        with_slots!(&mut self.cells, s => s.insert(at, k, row), ())
     }
 
     fn occupied(&self) -> usize {
-        match self {
-            Memo::Off => 0,
-            Memo::Compact(s) => s.occupied(),
-            Memo::Wide(s) => s.occupied(),
-        }
+        with_slots!(&self.cells, s => s.occupied(), 0)
     }
 
     fn clear(&mut self) {
-        match self {
-            Memo::Off => {}
-            Memo::Compact(s) => s.clear(),
-            Memo::Wide(s) => s.clear(),
-        }
+        with_slots!(&mut self.cells, s => s.clear(), ())
     }
 }
 
@@ -303,8 +361,8 @@ pub(crate) struct Chain<'a, P: Partition, S: EdgeSink> {
     /// and the stall report; the sweep itself never parks). One word per
     /// node — small enough to stay resident under any budget.
     next_e: Vec<u32>,
-    /// Direct-mapped cache of recomputed remote rows. Pure-function
-    /// cache: its size cannot affect the output.
+    /// Cache of recomputed remote rows. Pure-function cache: its size
+    /// cannot affect the output.
     memo: Memo,
     /// Recycled frame allocations (row capacity reuse).
     frame_pool: Vec<Frame>,
@@ -326,7 +384,8 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
     ) -> Self {
         let size = part.size_of(rank);
         let slots = size * cfg.x;
-        let f = AnyTable::build(&opts.store, rank, "f", slots, NILL)
+        // Values are node labels: below n.
+        let f = AnyTable::build(&opts.store, rank, "f", slots, NILL, cfg.n - 1)
             .unwrap_or_else(|e| panic!("rank {rank}: opening node table f: {e}"));
         Chain {
             cfg,
@@ -335,7 +394,12 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             model: Model::resolve(cfg, opts.model),
             f,
             next_e: vec![0; size as usize],
-            memo: Memo::new(opts.chain_memo_nodes, cfg.n, cfg.x),
+            memo: Memo::new(
+                ChainMemoLayout::plan(part, rank, opts.chain_memo_nodes, opts.store.is_paged()),
+                part,
+                rank,
+                cfg.x,
+            ),
             frame_pool: Vec::new(),
             stack: Vec::new(),
             scratch: Vec::new(),
@@ -379,13 +443,14 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         net.complete(1);
     }
 
-    /// A frame primed to recompute node `k`'s row up to slot `goal`,
-    /// resuming from the memoized prefix (if any) and reusing pooled
-    /// allocations when available.
-    fn new_frame(&mut self, k: Node, goal: u64) -> Frame {
+    /// A frame primed to recompute node `k`'s row (memo slot `at`) up
+    /// to slot `goal`, resuming from the memoized prefix (if any) and
+    /// reusing pooled allocations when available.
+    fn new_frame(&mut self, k: Node, at: usize, goal: u64) -> Frame {
         let keys = self.model.keys_for(k);
         let mut frame = self.frame_pool.pop().unwrap_or(Frame {
             k,
+            at,
             keys,
             row: Vec::new(),
             goal: 0,
@@ -393,10 +458,11 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             pending: None,
         });
         frame.k = k;
+        frame.at = at;
         frame.keys = keys;
         frame.goal = goal as usize;
         frame.row.clear();
-        self.memo.copy_prefix_into(k, &mut frame.row);
+        self.memo.copy_prefix_into(at, k, &mut frame.row);
         debug_assert!(frame.row.len() <= frame.goal, "memo hit routed to a walk");
         frame.attempt = 0;
         frame.pending = None;
@@ -422,18 +488,24 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                 } else if c.k == x {
                     // Node x's row is the identity: F_x(l) = l.
                     c.l
-                } else if self.part.rank_of(c.k) == self.rank {
-                    // Local rows below the walk's origin are always
-                    // committed (ascending sweep, full-row commits).
-                    let v = self.f.get(self.slot(c.k, c.l as u32));
-                    debug_assert_ne!(v, NILL, "chain read an uncommitted local slot");
-                    v
-                } else if let Some(v) = self.memo.get_slot(c.k, c.l) {
-                    self.counters.chain_memo_hits += 1;
-                    v
                 } else {
-                    frame.pending = Some(c);
-                    return Step::NeedChild(c.k);
+                    let owner = self.part.rank_of(c.k);
+                    if owner == self.rank {
+                        // Local rows below the walk's origin are always
+                        // committed (ascending sweep, full-row commits).
+                        let v = self.f.get(self.slot(c.k, c.l as u32));
+                        debug_assert_ne!(v, NILL, "chain read an uncommitted local slot");
+                        v
+                    } else {
+                        let at = self.memo.at(self.part, c.k, owner);
+                        if let Some(v) = self.memo.get_slot(at, c.k, c.l) {
+                            self.counters.chain_memo_hits += 1;
+                            v
+                        } else {
+                            frame.pending = Some(c);
+                            return Step::NeedChild { k: c.k, at };
+                        }
+                    }
                 }
             };
             if frame.row.contains(&cand) {
@@ -446,16 +518,18 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
         Step::Done
     }
 
-    /// Recompute `F_k0(l0)` for a remote node `k0 > x` by walking the
-    /// dependency chain with an explicit frame stack (labels strictly
-    /// decrease down the stack, so the walk terminates and never
-    /// references a node that is itself mid-recomputation).
-    fn chain_value(&mut self, k0: Node, l0: u64) -> Node {
-        if let Some(v) = self.memo.get_slot(k0, l0) {
+    /// Recompute `F_k0(l0)` for a node `k0 > x` owned by remote rank
+    /// `owner` by walking the dependency chain with an explicit frame
+    /// stack (labels strictly decrease down the stack, so the walk
+    /// terminates and never references a node that is itself
+    /// mid-recomputation).
+    fn chain_value(&mut self, k0: Node, owner: usize, l0: u64) -> Node {
+        let at = self.memo.at(self.part, k0, owner);
+        if let Some(v) = self.memo.get_slot(at, k0, l0) {
             self.counters.chain_memo_hits += 1;
             return v;
         }
-        let root = self.new_frame(k0, l0);
+        let root = self.new_frame(k0, at, l0);
         let mut stack = std::mem::take(&mut self.stack);
         debug_assert!(stack.is_empty(), "chain walks never nest");
         stack.push(root);
@@ -464,13 +538,13 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
             self.counters.chain_peak_depth = self.counters.chain_peak_depth.max(stack.len() as u64);
             let mut frame = stack.pop().expect("chain walk on an empty stack");
             match self.step_frame(&mut frame, &mut delivered) {
-                Step::NeedChild(k) => {
+                Step::NeedChild { k, at } => {
                     let goal = frame
                         .pending
                         .as_ref()
                         .expect("child requested without a pending choice")
                         .l;
-                    let child = self.new_frame(k, goal);
+                    let child = self.new_frame(k, at, goal);
                     stack.push(frame);
                     stack.push(child);
                 }
@@ -490,7 +564,7 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                         None => l0,
                     };
                     let value = frame.row[l as usize];
-                    self.memo.insert(frame.k, &frame.row);
+                    self.memo.insert(frame.at, frame.k, &frame.row);
                     self.frame_pool.push(frame);
                     if stack.is_empty() {
                         self.stack = stack;
@@ -523,11 +597,14 @@ impl<'a, P: Partition, S: EdgeSink> Chain<'a, P, S> {
                     (c.k, true)
                 } else if c.k == x {
                     (c.l, false)
-                } else if self.part.rank_of(c.k) == self.rank {
-                    self.counters.local_immediate += 1;
-                    (self.f.get(self.slot(c.k, c.l as u32)), false)
                 } else {
-                    (self.chain_value(c.k, c.l), false)
+                    let owner = self.part.rank_of(c.k);
+                    if owner == self.rank {
+                        self.counters.local_immediate += 1;
+                        (self.f.get(self.slot(c.k, c.l as u32)), false)
+                    } else {
+                        (self.chain_value(c.k, owner, c.l), false)
+                    }
                 };
                 if self.f.row_contains(row0, x, cand) {
                     self.counters.duplicate_retries += 1;
@@ -643,5 +720,103 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
             self.memo.occupied(),
             self.counters.chain_rows_recomputed,
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::{self, Scheme};
+
+    fn allocated(memo: &Memo) -> u64 {
+        let bytes = |cells: usize, width: usize| (cells * width) as u64;
+        match &memo.cells {
+            Cells::Off => 0,
+            Cells::Compact(s) => bytes(s.entries.len(), 4),
+            Cells::Wide(s) => bytes(s.entries.len(), 8),
+        }
+    }
+
+    #[test]
+    fn memo_allocates_exactly_the_planned_bytes() {
+        let (n, x) = (1_000u64, 3u64);
+        for scheme in Scheme::EXTENDED {
+            for nranks in [1usize, 2, 3] {
+                let part = partition::build(scheme, n, nranks);
+                for rank in 0..nranks {
+                    let remote = n - part.size_of(rank);
+                    for memo_nodes in [0, 1, 100, remote.max(1) - 1, remote, u64::MAX] {
+                        for paged in [false, true] {
+                            let layout = ChainMemoLayout::plan(&part, rank, memo_nodes, paged);
+                            let memo = Memo::new(layout, &part, rank, x);
+                            assert_eq!(
+                                allocated(&memo),
+                                layout.bytes(n, x),
+                                "{scheme} P={nranks} rank {rank} memo {memo_nodes} {layout:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_memo_covers_every_remote_row_except_under_a_budget() {
+        let (n, x) = (4_000_000u64, 4u64);
+        let p1 = partition::build(Scheme::Rrp, n, 1);
+        let default = crate::DEFAULT_CHAIN_MEMO_NODES;
+        assert_eq!(
+            ChainMemoLayout::plan(&p1, 0, default, false),
+            ChainMemoLayout::Off,
+            "a single rank recomputes nothing, so it needs no memo"
+        );
+        let p2 = partition::build(Scheme::Rrp, n, 2);
+        let direct = ChainMemoLayout::plan(&p2, 0, default, false);
+        assert_eq!(direct, ChainMemoLayout::Direct { rows: n / 2 });
+        // At P = 2 the memo costs what the rank's own u32 F table does.
+        assert_eq!(direct.bytes(n, x), n / 2 * x * 4);
+        let budgeted = ChainMemoLayout::plan(&p2, 0, default, true);
+        assert_eq!(
+            budgeted,
+            ChainMemoLayout::Hashed {
+                slots: crate::BUDGETED_CHAIN_MEMO_NODES
+            }
+        );
+        assert_eq!(budgeted.bytes(n, x), (1 << 20) * (1 + x) * 4);
+        // An explicit size is honoured under a budget too.
+        assert_eq!(
+            ChainMemoLayout::plan(&p2, 0, 1_000, true),
+            ChainMemoLayout::Hashed { slots: 1_024 }
+        );
+        // Labels that do not fit a u32 cell double the cell width.
+        assert_eq!(
+            ChainMemoLayout::Direct { rows: 10 }.bytes(1 << 33, x),
+            10 * x * 8
+        );
+    }
+
+    #[test]
+    fn direct_memo_slots_are_a_bijection_onto_remote_nodes() {
+        let n = 777u64;
+        for scheme in Scheme::EXTENDED {
+            for nranks in [2usize, 3, 4] {
+                let part = partition::build(scheme, n, nranks);
+                for rank in 0..nranks {
+                    let layout = ChainMemoLayout::plan(&part, rank, u64::MAX, false);
+                    let ChainMemoLayout::Direct { rows } = layout else {
+                        panic!("default layout is {layout:?}");
+                    };
+                    let memo = Memo::new(layout, &part, rank, 2);
+                    let mut seen = vec![false; rows as usize];
+                    for k in (0..n).filter(|&k| part.rank_of(k) != rank) {
+                        let at = memo.at(&part, k, part.rank_of(k));
+                        assert!(!seen[at], "{scheme} P={nranks}: slot {at} reused");
+                        seen[at] = true;
+                    }
+                    assert!(seen.iter().all(|&s| s), "{scheme} P={nranks}: slot unused");
+                }
+            }
+        }
     }
 }

@@ -36,6 +36,7 @@ mod waiters;
 pub(super) use engine1::X1;
 pub(super) use engine2::General;
 pub(super) use engine3::Chain;
+pub use engine3::ChainMemoLayout;
 
 use super::driver::Net;
 use crate::par::sink::EdgeSink;

@@ -7,8 +7,12 @@
 //! `local_index(t) · x + e`. This module puts that array behind a trait
 //! with two backends:
 //!
-//! - [`ResidentTable`]: the classic `Vec<u64>` — everything in RAM,
-//!   `O(n/P)` words per rank.
+//! - [`ResidentTable`]: everything in RAM, `O(n/P)` cells per rank.
+//!   Cells are `u32` when the caller declares that every value the
+//!   table holds (other than the `u64::MAX` unresolved sentinel) is
+//!   below `u32::MAX` — node labels when `n < 2³²`, attempt counters,
+//!   cursors — halving the table; otherwise `u64`. The cell width is
+//!   invisible through [`NodeTable`], which reads and writes `u64`.
 //! - [`PagedTable`]: fixed-size pages spilled to per-rank files under an
 //!   in-memory page cache bounded by a byte budget (`--memory-budget`),
 //!   so the largest generable `n` is bounded by disk, not RAM.
@@ -70,6 +74,67 @@ pub(crate) fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
 
 /// The FNV-1a offset basis.
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Can every value up to `max_value`, plus the `u64::MAX` sentinel, be
+/// held in a `u32` cell? (`u32::MAX` itself encodes the sentinel.)
+#[inline]
+pub fn fits_u32(max_value: u64) -> bool {
+    max_value < u64::from(u32::MAX)
+}
+
+/// Bytes per cell of a resident table (or engine3 chain memo) whose
+/// values never exceed `max_value` — the sizing rule `pagen info`
+/// shares with the engines.
+pub fn cell_bytes(max_value: u64) -> u64 {
+    if fits_u32(max_value) {
+        4
+    } else {
+        8
+    }
+}
+
+/// One in-memory cell: a `u64` value or the `u64::MAX` sentinel, stored
+/// as `u32` (sentinel ↔ `u32::MAX`) when the value range allows.
+pub(crate) trait Cell: Copy + Eq {
+    /// The encoded sentinel.
+    const NIL: Self;
+    /// Encode `v` (the sentinel, or a value the cell can hold).
+    fn encode(v: u64) -> Self;
+    /// Decode back to `u64`, mapping the encoded sentinel to `u64::MAX`.
+    fn decode(self) -> u64;
+}
+
+impl Cell for u32 {
+    const NIL: Self = u32::MAX;
+    #[inline]
+    fn encode(v: u64) -> Self {
+        debug_assert!(
+            v == u64::MAX || fits_u32(v),
+            "value {v} exceeds the table's u32 cells"
+        );
+        v as u32
+    }
+    #[inline]
+    fn decode(self) -> u64 {
+        if self == u32::MAX {
+            u64::MAX
+        } else {
+            u64::from(self)
+        }
+    }
+}
+
+impl Cell for u64 {
+    const NIL: Self = u64::MAX;
+    #[inline]
+    fn encode(v: u64) -> Self {
+        v
+    }
+    #[inline]
+    fn decode(self) -> u64 {
+        self
+    }
+}
 
 /// Where a rank's node tables live: in RAM, or paged to disk under a
 /// byte budget.
@@ -232,41 +297,89 @@ pub trait NodeTable {
     fn reset_from(&mut self, slot: u64);
 }
 
-/// The classic in-RAM table.
+/// The in-RAM table: `u32` or `u64` cells per the declared value bound
+/// (see the module docs).
 #[derive(Debug)]
 pub struct ResidentTable {
-    slots: Vec<u64>,
+    cells: Cells,
     fill: u64,
 }
 
+#[derive(Debug)]
+enum Cells {
+    Narrow(Vec<u32>),
+    Wide(Vec<u64>),
+}
+
 impl ResidentTable {
-    /// A table of `len` slots, all holding `fill`.
+    /// A table of `len` `u64` cells, all holding `fill`; any value may
+    /// be stored.
     pub fn new(len: u64, fill: u64) -> Self {
-        ResidentTable {
-            slots: vec![fill; len as usize],
-            fill,
+        Self::with_max(len, fill, u64::MAX)
+    }
+
+    /// A table of `len` slots, all holding `fill`, whose values (other
+    /// than the `u64::MAX` sentinel) never exceed `max_value`: `u32`
+    /// cells when [`fits_u32`]`(max_value)`, else `u64`. Storing a
+    /// larger value is a caller bug (checked in debug builds).
+    pub fn with_max(len: u64, fill: u64, max_value: u64) -> Self {
+        let len = len as usize;
+        let cells = if fits_u32(max_value) {
+            Cells::Narrow(vec![u32::encode(fill); len])
+        } else {
+            Cells::Wide(vec![fill; len])
+        };
+        ResidentTable { cells, fill }
+    }
+
+    /// Bytes per cell (4 or 8).
+    #[cfg(test)]
+    fn cell_bytes(&self) -> u64 {
+        match self.cells {
+            Cells::Narrow(_) => 4,
+            Cells::Wide(_) => 8,
         }
     }
 }
 
+/// `v` encoded as a `u32` cell, or `None` when no such cell can hold
+/// it (so a search for it cannot match).
+#[inline]
+fn narrow_probe(v: u64) -> Option<u32> {
+    (v == u64::MAX || fits_u32(v)).then(|| u32::encode(v))
+}
+
 impl NodeTable for ResidentTable {
     fn len(&self) -> u64 {
-        self.slots.len() as u64
+        match &self.cells {
+            Cells::Narrow(c) => c.len() as u64,
+            Cells::Wide(c) => c.len() as u64,
+        }
     }
 
     #[inline]
     fn get(&mut self, slot: u64) -> u64 {
-        self.slots[slot as usize]
+        match &self.cells {
+            Cells::Narrow(c) => c[slot as usize].decode(),
+            Cells::Wide(c) => c[slot as usize],
+        }
     }
 
     #[inline]
     fn set(&mut self, slot: u64, v: u64) {
-        self.slots[slot as usize] = v;
+        match &mut self.cells {
+            Cells::Narrow(c) => c[slot as usize] = u32::encode(v),
+            Cells::Wide(c) => c[slot as usize] = v,
+        }
     }
 
     #[inline]
     fn row_contains(&mut self, start: u64, len: u64, v: u64) -> bool {
-        self.slots[start as usize..(start + len) as usize].contains(&v)
+        let row = start as usize..(start + len) as usize;
+        match &self.cells {
+            Cells::Narrow(c) => narrow_probe(v).is_some_and(|w| c[row].contains(&w)),
+            Cells::Wide(c) => c[row].contains(&v),
+        }
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -274,16 +387,22 @@ impl NodeTable for ResidentTable {
     }
 
     fn prefix_fnv(&mut self, len: u64) -> u64 {
-        let mut h = FNV_OFFSET;
-        for &s in &self.slots[..len as usize] {
-            h = fnv1a_bytes(h, &s.to_le_bytes());
+        let len = len as usize;
+        let word = |h, v: u64| fnv1a_bytes(h, &v.to_le_bytes());
+        match &self.cells {
+            Cells::Narrow(c) => c[..len]
+                .iter()
+                .fold(FNV_OFFSET, |h, &v| word(h, v.decode())),
+            Cells::Wide(c) => c[..len].iter().fold(FNV_OFFSET, |h, &v| word(h, v)),
         }
-        h
     }
 
     fn reset_from(&mut self, slot: u64) {
-        let fill = self.fill;
-        self.slots[slot as usize..].fill(fill);
+        let slot = slot as usize;
+        match &mut self.cells {
+            Cells::Narrow(c) => c[slot..].fill(u32::encode(self.fill)),
+            Cells::Wide(c) => c[slot..].fill(self.fill),
+        }
     }
 }
 
@@ -628,7 +747,10 @@ pub enum AnyTable {
 }
 
 impl AnyTable {
-    /// Build a table of `len` slots filled with `fill` per `spec`.
+    /// Build a table of `len` slots filled with `fill` per `spec`, whose
+    /// values (other than the `u64::MAX` sentinel) never exceed
+    /// `max_value` — that bound picks a resident table's cell width
+    /// (see [`ResidentTable::with_max`]); paged tables keep `u64` slots.
     /// Paged tables get the file prefix `rank{rank}.{name}`.
     ///
     /// # Errors
@@ -640,9 +762,12 @@ impl AnyTable {
         name: &str,
         len: u64,
         fill: u64,
+        max_value: u64,
     ) -> io::Result<AnyTable> {
         Ok(match spec {
-            StoreSpec::Resident => AnyTable::Resident(ResidentTable::new(len, fill)),
+            StoreSpec::Resident => {
+                AnyTable::Resident(ResidentTable::with_max(len, fill, max_value))
+            }
             StoreSpec::Paged(p) => AnyTable::Paged(PagedTable::open(
                 p,
                 &format!("rank{rank}.{name}"),
@@ -819,6 +944,8 @@ mod tests {
     use super::*;
 
     const FILL: u64 = u64::MAX;
+    /// A label bound that selects `u32` resident cells.
+    const LABELS: u64 = 1_000;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pa_store_{tag}_{}", std::process::id()));
@@ -869,6 +996,38 @@ mod tests {
         }
         assert_eq!(paged.prefix_fnv(len), resident.prefix_fnv(len));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn u32_cells_round_trip_the_sentinel_and_the_label_range() {
+        let n = 1u64 << 31;
+        let mut t = ResidentTable::with_max(4, FILL, n - 1);
+        assert_eq!(t.cell_bytes(), 4);
+        assert_eq!(t.get(0), FILL, "fill reads back as the sentinel");
+        for (slot, v) in [(0, 0), (1, n - 1), (2, FILL)] {
+            t.set(slot, v);
+            assert_eq!(t.get(slot), v);
+        }
+        assert!(t.row_contains(0, 4, n - 1));
+        assert!(t.row_contains(0, 4, FILL));
+        assert!(!t.row_contains(0, 2, 7));
+        // A value no u32 cell can hold is never found.
+        assert!(!t.row_contains(0, 4, u64::from(u32::MAX) + 5));
+        t.reset_from(1);
+        assert_eq!((t.get(0), t.get(1)), (0, FILL));
+        // The largest bound that still fits, and every bound past it.
+        assert_eq!(
+            ResidentTable::with_max(1, 0, u64::from(u32::MAX) - 1).cell_bytes(),
+            4
+        );
+        for max in [u64::from(u32::MAX), u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut wide = ResidentTable::with_max(1, 0, max);
+            assert_eq!(wide.cell_bytes(), 8, "max_value {max}");
+            wide.set(0, max);
+            assert_eq!(wide.get(0), max);
+        }
+        assert_eq!(cell_bytes(n - 1), 4);
+        assert_eq!(cell_bytes(u64::from(u32::MAX)), 8);
     }
 
     #[test]
@@ -972,22 +1131,27 @@ mod tests {
         let dir = scratch("prefix");
         let (cnt, spn) = (5u64, 3u64);
         let len = 8 * spn;
-        for paged in [false, true] {
+        let mut resident_payloads = Vec::new();
+        // Resident tables with u32 and u64 cells, then a paged one.
+        for (paged, max) in [(false, LABELS), (false, u64::MAX), (true, LABELS)] {
             let spec = if paged {
                 StoreSpec::Paged(tiny_spec(&dir, 64))
             } else {
                 StoreSpec::Resident
             };
-            let mut t = AnyTable::build(&spec, 0, "f", len, FILL).unwrap();
+            let mut t = AnyTable::build(&spec, 0, "f", len, FILL, max).unwrap();
             for s in 0..len {
                 t.set(s, 100 + s);
             }
             let mut payload = Vec::new();
             write_table_prefix(&mut t, cnt, spn, &mut payload);
+            if !paged {
+                resident_payloads.push(payload.clone());
+            }
             // Restore into a fresh table of the same kind (resume
             // semantics for the paged one: its pages are on disk).
             let mut back =
-                AnyTable::build(&spec.clone().with_resume(true), 0, "f", len, FILL).unwrap();
+                AnyTable::build(&spec.clone().with_resume(true), 0, "f", len, FILL, max).unwrap();
             let mut r: &[u8] = &payload;
             read_table_prefix(&mut back, cnt, spn, &mut r).unwrap();
             assert!(r.is_empty());
@@ -998,6 +1162,10 @@ mod tests {
                 assert_eq!(back.get(s), FILL, "paged={paged} tail slot {s}");
             }
         }
+        assert_eq!(
+            resident_payloads[0], resident_payloads[1],
+            "the cell width leaked into the checkpoint payload"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1008,14 +1176,14 @@ mod tests {
         let dir = scratch("cross");
         let (cnt, spn) = (4u64, 2u64);
         let len = 6 * spn;
-        let mut src = AnyTable::build(&StoreSpec::Resident, 0, "f", len, FILL).unwrap();
+        let mut src = AnyTable::build(&StoreSpec::Resident, 0, "f", len, FILL, LABELS).unwrap();
         for s in 0..cnt * spn {
             src.set(s, 50 + s);
         }
         let mut payload = Vec::new();
         write_table_prefix(&mut src, cnt, spn, &mut payload);
         let spec = StoreSpec::Paged(tiny_spec(&dir, 64));
-        let mut dst = AnyTable::build(&spec, 0, "f", len, FILL).unwrap();
+        let mut dst = AnyTable::build(&spec, 0, "f", len, FILL, LABELS).unwrap();
         let mut r: &[u8] = &payload;
         read_table_prefix(&mut dst, cnt, spn, &mut r).unwrap();
         for s in 0..cnt * spn {
@@ -1028,11 +1196,11 @@ mod tests {
     fn paged_payload_into_resident_table_is_an_error() {
         let dir = scratch("wrongkind");
         let spec = StoreSpec::Paged(tiny_spec(&dir, 64));
-        let mut t = AnyTable::build(&spec, 0, "f", 8, FILL).unwrap();
+        let mut t = AnyTable::build(&spec, 0, "f", 8, FILL, LABELS).unwrap();
         t.set(0, 1);
         let mut payload = Vec::new();
         write_table_prefix(&mut t, 1, 1, &mut payload);
-        let mut resident = AnyTable::build(&StoreSpec::Resident, 0, "f", 8, FILL).unwrap();
+        let mut resident = AnyTable::build(&StoreSpec::Resident, 0, "f", 8, FILL, LABELS).unwrap();
         let mut r: &[u8] = &payload;
         let err = read_table_prefix(&mut resident, 1, 1, &mut r).unwrap_err();
         assert!(err.contains("--memory-budget"), "{err}");

@@ -213,15 +213,23 @@ proptest! {
     /// read/write sequence: every read agrees, the final contents agree,
     /// the committed-prefix checksum agrees — and after a flush the same
     /// bytes come back from a resume-mode reopen.
+    ///
+    /// With `labels` set, values are the labels of a 2³¹-node network
+    /// (or the sentinel) and the resident table declares that bound, so
+    /// its `u32` cells are compared against the paged `u64` slots;
+    /// otherwise values are arbitrary `u64`s in `u64` cells.
     #[test]
     fn paged_table_equals_resident_under_tiny_budget(
         len in 1u64..300,
         page_slots in 1usize..9,
         budget_pages in 0u64..5,
         ops in prop_vec((any::<u64>(), any::<u64>(), any::<bool>()), 1..250),
+        labels in any::<bool>(),
     ) {
         use pa_core::store::{NodeTable, PagedSpec, PagedTable, ResidentTable};
         const FILL: u64 = u64::MAX;
+        // Labels of a 2^31-node network: the top of the u32 range.
+        const N: u64 = 1 << 31;
         let dir = store_scratch();
         let page_bytes = page_slots * 8;
         let spec = PagedSpec {
@@ -231,9 +239,22 @@ proptest! {
             resume: false,
         };
         let mut paged = PagedTable::open(&spec, "rank0.t", len, FILL).unwrap();
-        let mut resident = ResidentTable::new(len, FILL);
+        let mut resident = if labels {
+            ResidentTable::with_max(len, FILL, N - 1)
+        } else {
+            ResidentTable::new(len, FILL)
+        };
         for &(slot, val, is_write) in &ops {
             let s = slot % len;
+            let val = if labels {
+                match val % 5 {
+                    0 => FILL,
+                    1 => N - 1,
+                    _ => val % N,
+                }
+            } else {
+                val
+            };
             if is_write {
                 paged.set(s, val);
                 resident.set(s, val);

@@ -146,8 +146,13 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 /// * adds are only guaranteed *globally* visible after the next
 ///   transport barrier (the registration pattern is always
 ///   `add → barrier → observe`; see the `Transport` contract). The
-///   shared-memory backend happens to publish immediately, but callers
-///   must not rely on that.
+///   shared-memory backend happens to publish adds immediately, but
+///   callers must not rely on that;
+/// * a `complete` call publishes whatever count it is given, but callers
+///   may batch: the engine driver counts completions locally and settles
+///   them once per service round, at the end of its sweep, and before
+///   each `is_done`/`outstanding` read. A batched completion can only
+///   delay `is_done`, never make it true early.
 pub trait TerminationBackend: Send + Sync {
     /// Register `n` units of outstanding work.
     fn add(&self, n: u64);
