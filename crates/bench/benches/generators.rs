@@ -17,14 +17,6 @@ fn bench_model_zoo(c: &mut Criterion) {
     group.bench_function("pa_parallel_p4", |b| {
         b.iter(|| par::generate(black_box(&pa_cfg), Scheme::Rrp, 4, &GenOptions::default()))
     });
-    let hub_opts = GenOptions::default().with_hub_cache(N / 4);
-    group.bench_function("pa_parallel_p4_hub_quarter", |b| {
-        b.iter(|| par::generate(black_box(&pa_cfg), Scheme::Rrp, 4, &hub_opts))
-    });
-    let nohub_opts = GenOptions::default().without_hub_cache();
-    group.bench_function("pa_parallel_p4_hub_off", |b| {
-        b.iter(|| par::generate(black_box(&pa_cfg), Scheme::Rrp, 4, &nohub_opts))
-    });
     group.bench_function("pa_parallel_p4_engine3", |b| {
         b.iter(|| par::generate3(black_box(&pa_cfg), Scheme::Rrp, 4, &GenOptions::default()))
     });

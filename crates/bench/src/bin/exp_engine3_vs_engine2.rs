@@ -1,10 +1,9 @@
 //! Engine2 vs engine3 ablation — messages, recomputation, wall-clock.
 //!
 //! Engine2 (Algorithm 3.2) resolves remote dependency chains with
-//! request/resolved round trips, softened by the hub cache; engine3
-//! re-evaluates the counter-based draw streams locally and sends
-//! *nothing*. This experiment runs the same pinned workload through
-//! engine2 with and without the hub cache, and engine3 with its default
+//! request/resolved round trips; engine3 re-evaluates the counter-based
+//! draw streams locally and sends *nothing*. This experiment runs the
+//! same pinned workload through engine2, and engine3 with its default
 //! (one slot per remote row) and hashed chain-memo layouts, and reports
 //! per-config message totals, chain-recomputation counters and
 //! wall-clock time.
@@ -78,14 +77,7 @@ fn main() {
 
     let cfg = PaConfig::new(n, x).with_p(p).with_seed(seed);
     let mut rows = vec![
-        measure("engine2 hub on", &cfg, ranks, &GenOptions::default(), false),
-        measure(
-            "engine2 hub off",
-            &cfg,
-            ranks,
-            &GenOptions::default().without_hub_cache(),
-            false,
-        ),
+        measure("engine2", &cfg, ranks, &GenOptions::default(), false),
         measure("engine3", &cfg, ranks, &GenOptions::default(), true),
         // The default memo gives every remote row its own slot; this row
         // runs the hashed, tagged layout instead: 2^20 rows (the default

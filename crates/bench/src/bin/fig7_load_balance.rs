@@ -25,9 +25,7 @@ fn main() {
     println!("n = {n}, x = {x}, P = {ranks} (paper: n = 1e8, x = 10, P = 160)\n");
 
     let cfg = PaConfig::new(n, x).with_seed(seed);
-    // Figure 7 characterizes the paper's uncached request traffic, so run
-    // with the hub cache disabled.
-    let opts = GenOptions::default().without_hub_cache();
+    let opts = GenOptions::default();
 
     println!("csv,scheme,rank,nodes,requests_out,requests_in,total_load,packets_out,packets_in");
     let mut summary_rows = Vec::new();

@@ -227,13 +227,6 @@ fn parse_pa_params(
     let opts = parse_gen_options(args)?
         .with_model(parse_model_kind(args)?)
         .with_store(parse_store_spec(args, &default_store_dir)?);
-    if let Some(hub) = opts.hub_cache_nodes {
-        if hub > n {
-            return Err(CliError::usage(format!(
-                "--hub-cache {hub} exceeds n = {n} (use auto or off)"
-            )));
-        }
-    }
     Ok((cfg, scheme, ranks, opts, engine))
 }
 
@@ -431,7 +424,7 @@ pub(crate) fn stream_pa_to_disk(
 }
 
 /// Engine tuning knobs shared by the `pa` model: buffering, service
-/// cadence, idle-wait timing, and the hub cache.
+/// cadence, and idle-wait timing.
 pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
     let mut opts = GenOptions::default();
     opts.buffer_capacity = args.u64("buffer-cap", opts.buffer_capacity as u64)? as usize;
@@ -452,18 +445,6 @@ pub(crate) fn parse_gen_options(args: &Args) -> Result<GenOptions, CliError> {
         args.u64("idle-flush-interval", opts.idle_flush_interval as u64)? as usize;
     if opts.idle_flush_interval == 0 {
         return Err(CliError::usage("--idle-flush-interval must be positive"));
-    }
-    match args.str("hub-cache", "auto").as_str() {
-        "auto" => {}
-        "off" => opts = opts.without_hub_cache(),
-        nodes => {
-            let nodes: u64 = nodes.parse().map_err(|_| {
-                CliError::usage(format!(
-                    "--hub-cache must be auto, off or a node count, got {nodes:?}"
-                ))
-            })?;
-            opts = opts.with_hub_cache(nodes);
-        }
     }
     let chaos_seed = args.u64("chaos-seed", 0)?;
     match args.str("chaos-profile", "off").as_str() {

@@ -80,15 +80,6 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Some(crate::generate::parse_byte_size("memory-budget", &budget)?)
     };
     let page_bytes = pa_core::store::DEFAULT_PAGE_BYTES as u64;
-    let hub_nodes = match args.str("hub-cache", "auto").as_str() {
-        "off" => 0,
-        "auto" => pa_core::DEFAULT_HUB_CACHE_NODES.min(n),
-        v => v.parse::<u64>().map_err(|_| {
-            CliError::usage(format!(
-                "--hub-cache must be auto, off or a node count, got {v:?}"
-            ))
-        })?,
-    };
     let memo_nodes = args.u64("chain-memo", pa_core::DEFAULT_CHAIN_MEMO_NODES)?;
     args.finish()?;
 
@@ -136,11 +127,6 @@ fn estimate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                         name: "node cursors",
                         resident: size * pa_core::store::cell_bytes(x),
                         budgeted: budget_bytes.and_then(|b| capped(b * size / total, size)),
-                    },
-                    TableLine {
-                        name: "hub cache (replicated)",
-                        resident: hub_nodes * x * 8,
-                        budgeted: None,
                     },
                 ]
             }

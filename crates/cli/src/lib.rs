@@ -87,7 +87,6 @@ COMMANDS:
                           not carry its x=1 messages)
                pa tuning: --buffer-cap <msgs> (default 4096)
                           --service-interval <nodes> (default 4096)
-                          --hub-cache auto|off|<nodes> (default auto)
                           --chain-memo <nodes> (engine 3 memo rows; default every
                           remote row, 1048576 under --memory-budget; 0 off)
                           --idle-wait-us <µs> (default 200)

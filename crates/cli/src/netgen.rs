@@ -251,7 +251,7 @@ pub(crate) fn run(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 // above comes back nonzero and this branch is skipped.)
                 w.write_part_prefix(&part, rank, &mut sink);
                 let (edges, bytes) = sink.checkpoint_mark().map_err(CliError::io)?;
-                let payload = w.payload_for(&part, rank, engine);
+                let payload = w.payload_for(&part, rank);
                 let saved = w.resume_point(payload, edges, bytes);
                 (sink, Some(saved))
             }

@@ -196,7 +196,7 @@ fn pa_generation_via_cli_is_reproducible() {
 
 #[test]
 fn pa_tuning_flags_do_not_change_the_network() {
-    // The engine knobs (buffering, cadence, hub cache) are pure
+    // The engine knobs (buffering, cadence, idle waits) are pure
     // performance levers; the generated network must be identical.
     let base = tmp("tuned_base.pag");
     let tuned = tmp("tuned_knobs.pag");
@@ -221,8 +221,6 @@ fn pa_tuning_flags_do_not_change_the_network() {
         "64",
         "--service-interval",
         "16",
-        "--hub-cache",
-        "1000",
         "--idle-wait-us",
         "50",
         "--idle-flush-interval",
@@ -240,9 +238,12 @@ fn pa_tuning_flags_do_not_change_the_network() {
 }
 
 #[test]
-fn hub_cache_flag_accepts_off_and_rejects_garbage() {
-    let path = tmp("huboff.pag");
-    exec(&[
+fn removed_cache_flag_fails_loudly() {
+    // The replicated cache and its flag are gone; a script that still
+    // passes the flag must fail, not run with the flag silently ignored.
+    let path = tmp("removed_flag.pag");
+    let _ = std::fs::remove_file(&path);
+    let gen = exec(&[
         "generate",
         "--model",
         "pa",
@@ -255,20 +256,11 @@ fn hub_cache_flag_accepts_off_and_rejects_garbage() {
         "--out",
         &path,
     ])
-    .unwrap();
-    let err = exec(&[
-        "generate",
-        "--model",
-        "pa",
-        "--n",
-        "1000",
-        "--hub-cache",
-        "sometimes",
-        "--out",
-        &path,
-    ])
     .unwrap_err();
-    assert!(err.contains("--hub-cache"), "{err}");
+    assert!(gen.contains("unknown flag(s): --hub-cache"), "{gen}");
+    assert!(!std::path::Path::new(&path).exists(), "nothing written");
+    let info = exec(&["info", "--n", "1000", "--hub-cache", "off"]).unwrap_err();
+    assert!(info.contains("unknown flag(s): --hub-cache"), "{info}");
 }
 
 #[test]

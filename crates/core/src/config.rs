@@ -81,10 +81,6 @@ impl PaConfig {
     }
 }
 
-/// Default hub-cache size in *nodes* when [`GenOptions::hub_cache_nodes`]
-/// is `None` (the cache holds `min(hub_cache_nodes, n) · x` slots).
-pub const DEFAULT_HUB_CACHE_NODES: u64 = 4096;
-
 /// Default chain-memo capacity in *nodes* for the communication-free
 /// engine (engine3): unbounded, i.e. one slot for every remote row, so
 /// each remote row prefix is recomputed at most once. At `P = 2` that
@@ -114,12 +110,6 @@ pub struct GenOptions {
     /// incoming-message queue. Small values favour latency (shorter
     /// dependency waits), large values favour throughput.
     pub service_interval: usize,
-    /// Number of low-label "hub" nodes whose committed `F` slots every
-    /// rank replicates (general engine only). Lemma 3.4 concentrates
-    /// request traffic on exactly these nodes, so a small cache absorbs a
-    /// large share of remote lookups without changing the output. `None`
-    /// uses [`DEFAULT_HUB_CACHE_NODES`]; `Some(0)` disables the cache.
-    pub hub_cache_nodes: Option<u64>,
     /// How long the completion loop blocks on an empty message queue
     /// before re-checking the termination predicate.
     pub idle_wait: std::time::Duration,
@@ -180,7 +170,6 @@ impl Default for GenOptions {
         Self {
             buffer_capacity: 4096,
             service_interval: 4096,
-            hub_cache_nodes: None,
             idle_wait: std::time::Duration::from_micros(200),
             idle_flush_interval: 16,
             fault_plan: None,
@@ -194,20 +183,6 @@ impl Default for GenOptions {
 }
 
 impl GenOptions {
-    /// Replace the hub-cache size (in nodes); `0` disables the cache.
-    #[must_use]
-    pub fn with_hub_cache(mut self, nodes: u64) -> Self {
-        self.hub_cache_nodes = Some(nodes);
-        self
-    }
-
-    /// Disable the hub cache, restoring the paper's pure request/resolved
-    /// protocol (useful when measuring the uncached message-count laws).
-    #[must_use]
-    pub fn without_hub_cache(self) -> Self {
-        self.with_hub_cache(0)
-    }
-
     /// Run every rank's traffic through a fault-injecting transport
     /// driven by `plan` (see [`pa_mpsim::FaultTransport`]).
     #[must_use]
@@ -269,14 +244,8 @@ impl GenOptions {
         self.with_store(crate::store::StoreSpec::paged(dir, budget_bytes))
     }
 
-    /// Effective hub-cache size in nodes for an `n`-node run.
-    pub fn hub_nodes(&self, n: u64) -> u64 {
-        self.hub_cache_nodes
-            .unwrap_or(DEFAULT_HUB_CACHE_NODES)
-            .min(n)
-    }
-
-    /// Validate option values.
+    /// Validate option values. The generate entry points call this so
+    /// misconfigurations fail before any rank spawns.
     ///
     /// # Panics
     ///
@@ -318,31 +287,6 @@ impl GenOptions {
         }
         self.store.validate();
         self.model.validate();
-    }
-
-    /// Validate option values against a concrete run of `n` nodes.
-    ///
-    /// Everything [`GenOptions::validate`] checks, plus the knobs whose
-    /// legal range depends on the network size. The generate entry points
-    /// call this so misconfigurations fail before any rank spawns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a positive knob is zero, or if an *explicit*
-    /// `hub_cache_nodes` exceeds `n` (there are only `n` nodes to cache;
-    /// asking for more is a unit mix-up — e.g. passing a slot count where
-    /// a node count is expected. The `None` default is capped at `n`
-    /// silently instead).
-    pub fn validate_for(&self, n: u64) {
-        self.validate();
-        if let Some(hub) = self.hub_cache_nodes {
-            assert!(
-                hub <= n,
-                "hub_cache_nodes = {hub} exceeds the network size n = {n}; \
-                 the hub cache replicates low-label *nodes*, so at most n make sense \
-                 (use None to auto-size, or Some(0) to disable)"
-            );
-        }
     }
 }
 
@@ -398,15 +342,6 @@ mod tests {
     fn extreme_p_values_allowed() {
         let _ = PaConfig::new(10, 1).with_p(0.0);
         let _ = PaConfig::new(10, 1).with_p(1.0);
-    }
-
-    #[test]
-    fn hub_cache_size_resolution() {
-        let opts = GenOptions::default();
-        assert_eq!(opts.hub_nodes(1_000_000), DEFAULT_HUB_CACHE_NODES);
-        assert_eq!(opts.hub_nodes(100), 100, "capped at n");
-        assert_eq!(opts.clone().with_hub_cache(64).hub_nodes(1_000_000), 64);
-        assert_eq!(opts.without_hub_cache().hub_nodes(1_000_000), 0);
     }
 
     #[test]
@@ -489,32 +424,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the network size")]
-    fn hub_cache_larger_than_n_panics() {
-        GenOptions::default().with_hub_cache(101).validate_for(100);
-    }
-
-    #[test]
-    fn validate_for_accepts_boundary_and_default_hub_sizes() {
-        // Explicit cache of exactly n nodes is legal ...
-        GenOptions::default().with_hub_cache(100).validate_for(100);
-        // ... as are the disabled cache and the auto-sized default, even
-        // when the default exceeds n (it caps silently).
-        GenOptions::default().without_hub_cache().validate_for(100);
-        GenOptions::default().validate_for(DEFAULT_HUB_CACHE_NODES / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer_capacity must be positive")]
-    fn validate_for_also_checks_size_independent_knobs() {
-        GenOptions {
-            buffer_capacity: 0,
-            ..GenOptions::default()
-        }
-        .validate_for(100);
-    }
-
-    #[test]
     fn model_builders() {
         assert_eq!(GenOptions::default().model, crate::ModelKind::Pa);
         let opts = GenOptions::default().with_alpha(1.5);
@@ -522,7 +431,7 @@ mod tests {
         opts.validate();
         let opts = GenOptions::default().with_model(crate::ModelKind::Pa);
         assert_eq!(opts.model, crate::ModelKind::Pa);
-        GenOptions::default().with_alpha(0.0).validate_for(100);
+        GenOptions::default().with_alpha(0.0).validate();
     }
 
     #[test]
@@ -533,15 +442,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "NaN")]
-    fn nan_alpha_rejected_by_validate_for() {
-        GenOptions::default().with_alpha(f64::NAN).validate_for(100);
+    fn nan_alpha_rejected_by_validate() {
+        GenOptions::default().with_alpha(f64::NAN).validate();
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn infinite_alpha_rejected_by_validate() {
-        GenOptions::default()
-            .with_alpha(f64::INFINITY)
-            .validate_for(100);
+        GenOptions::default().with_alpha(f64::INFINITY).validate();
     }
 }

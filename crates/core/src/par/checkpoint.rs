@@ -27,10 +27,12 @@ use pa_mpsim::wire::{get_u32, get_u64, get_u8};
 /// Magic number at the head of every checkpoint file (`"PACK"`).
 const MAGIC: u32 = 0x4b43_4150;
 /// Checkpoint format version. Version 2 added the attachment-model
-/// identity (`model_id`, `alpha_bits`) to the header; version-1 files
-/// are rejected on load (treated as absent) rather than resumed under a
-/// guessed model.
-const VERSION: u32 = 2;
+/// identity (`model_id`, `alpha_bits`) to the header. Version 3 dropped
+/// the general engine's replicated-cache section from its payload and
+/// two counter words from every engine's payload. Files of an older
+/// version are rejected on load (treated as absent) rather than resumed
+/// under a guessed layout.
+const VERSION: u32 = 3;
 
 /// Identity of a run, embedded in every checkpoint and re-verified on
 /// load so stale or foreign checkpoints are rejected instead of
@@ -385,6 +387,16 @@ mod tests {
         let other = CheckpointStore::new(&dir, 1, CheckpointMeta { seed: 99, ..meta() }).unwrap();
         assert!(other.load(0).is_none(), "foreign seed rejected");
         assert!(store.load(0).is_some(), "matching identity still loads");
+
+        // A version-2 file (older payload layout) with a valid checksum
+        // must not load either.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let body = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        assert!(store.load(0).is_none(), "version-2 checkpoint rejected");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -12,9 +12,9 @@
 //! * the [`Transport`] carrying the messages (threaded world, loopback,
 //!   eventually a real MPI binding), and
 //! * a [`Strategy`] supplying the algorithm-specific state machine — the
-//!   strategies, their wire schemas, and their private state (hub
-//!   replica, waiter tables) all live in [`super::strategy`]; this
-//!   module knows nothing about any particular algorithm or model.
+//!   strategies, their wire schemas, and their private state (waiter
+//!   tables) all live in [`super::strategy`]; this module knows nothing
+//!   about any particular algorithm or model.
 //!
 //! The loop structure — and with it the determinism argument (in-order
 //! slot commits giving every attempt the sequential generator's exact
@@ -30,14 +30,15 @@
 //! (`k ∈ [x, t)`), requests never reference a later epoch, so epoch-`i`
 //! quiescence means every node below the epoch's upper label `hi` is
 //! committed *world-wide* and all waiter structures are provably empty —
-//! a consistent cut with no tracked traffic in flight. That cut is where
+//! a consistent cut with no traffic in flight. That cut is where
 //! [`Strategy::snapshot`] captures the engine for a crash-recoverable
-//! checkpoint ([`super::checkpoint`]). The only messages that may
-//! straddle the cut are untracked hub broadcasts; a restored engine
-//! compensates by falling back to request/resolved for pre-cut hub
-//! misses (the values are committed, so answers are identical).
-//! Epoch boundaries are pure functions of `(n, interval)`, so the cut —
-//! and the output — is bit-identical with and without checkpointing.
+//! checkpoint ([`super::checkpoint`]). Every message the engines send is
+//! tracked: a `request` belongs to an uncommitted slot of its sender and
+//! its `resolved` answer must arrive before that slot can commit, so no
+//! message straddles the cut and a restored engine needs no state beyond
+//! the committed tables. Epoch boundaries are pure functions of
+//! `(n, interval)`, so the cut — and the output — is bit-identical with
+//! and without checkpointing.
 
 use pa_mpsim::{BufferedComm, Packet, Transport};
 
@@ -297,10 +298,10 @@ where
             }
         }
         // Requests and resolved messages are always flushed before the slot
-        // they belong to can commit, so termination implies both are gone
-        // (only untracked hub broadcasts may remain buffered; with every slot
-        // below `hi` committed everywhere they carry no information).
+        // they belong to can commit, so termination implies both buffers
+        // are empty.
         debug_assert_eq!(net.req.pending_total(), 0);
+        debug_assert_eq!(net.res.pending_total(), 0);
         debug_assert_eq!(
             net.unsettled, 0,
             "rank {rank} left its completion loop with unsettled completions"
@@ -326,7 +327,44 @@ where
             }
         }
     }
+    balance_ledger(&mut net, opts.idle_wait);
     algo
+}
+
+/// Return once every message sent anywhere in the world has been
+/// received (world-wide `msgs_sent == msgs_recv`).
+///
+/// The termination detector counts slots, not messages, so the message
+/// ledger is checked separately after the final epoch. Under
+/// exactly-once delivery it balances the moment the detector fires:
+/// every message serves a slot that cannot commit before the message
+/// arrives. A transport that injects faults delivers some packets twice,
+/// and a duplicated request is answered twice; the spare answer may
+/// still be in flight. Every slot is committed by then, so such
+/// stragglers carry nothing and are received and discarded here.
+fn balance_ledger<M, T: Transport<M>>(net: &mut Net<'_, M, T>, idle_wait: std::time::Duration) {
+    let rank = net.comm.rank();
+    loop {
+        let stats = net.comm.stats();
+        let (sent, recv, faults) = (stats.msgs_sent, stats.msgs_recv, stats.faults_injected);
+        let (sent, recv) = (net.comm.allreduce_sum(sent), net.comm.allreduce_sum(recv));
+        debug_assert!(
+            recv <= sent,
+            "rank {rank}: {recv} messages received world-wide but only {sent} sent"
+        );
+        if sent == recv {
+            return;
+        }
+        let faulty = net.comm.allreduce_max(faults) > 0;
+        debug_assert!(
+            faulty,
+            "rank {rank}: world-wide msgs_sent {sent} != msgs_recv {recv} at \
+             termination on a transport that injected no faults"
+        );
+        while let Some(pkt) = net.comm.recv_timeout(idle_wait) {
+            net.comm.recycle(pkt.src, pkt.msgs);
+        }
+    }
 }
 
 /// Drain all currently pending packets in one batched receive; returns

@@ -92,14 +92,14 @@ where
 {
     let nranks = part.nranks();
     if nranks == 1 {
-        let algo = strategy::General::new(cfg, part, 0, 1, opts, make_sink(0));
+        let algo = strategy::General::new(cfg, part, 0, opts, make_sink(0));
         let (algo, stats) = drive(part, cfg.x, opts, LoopbackTransport::new(), algo);
         let (sink, counters) = algo.into_parts();
         vec![(sink, counters, stats)]
     } else {
         World::new(nranks).run(|comm| {
             let rank = comm.rank();
-            let algo = strategy::General::new(cfg, part, rank, nranks, opts, make_sink(rank));
+            let algo = strategy::General::new(cfg, part, rank, opts, make_sink(rank));
             let (algo, stats) = drive(part, cfg.x, opts, comm, algo);
             let (sink, counters) = algo.into_parts();
             (sink, counters, stats)
@@ -206,7 +206,7 @@ pub fn generate(
 /// not match `cfg.n`.
 pub fn generate_with<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) -> ParallelOutput {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert_eq!(
         part.num_nodes(),
         cfg.n,
@@ -252,7 +252,7 @@ pub fn generate3(
 /// not match `cfg.n`.
 pub fn generate3_with<P: Partition>(cfg: &PaConfig, part: &P, opts: &GenOptions) -> ParallelOutput {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert_eq!(
         part.num_nodes(),
         cfg.n,
@@ -332,7 +332,7 @@ where
     F: Fn(usize) -> S + Send + Sync,
 {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     let part = partition::build(scheme, cfg.n, nranks);
     to_stream_outputs(run_general(cfg, &part, opts, make_sink))
 }
@@ -356,7 +356,7 @@ where
     F: Fn(usize) -> S + Send + Sync,
 {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     let part = partition::build(scheme, cfg.n, nranks);
     to_stream_outputs(run_general3(cfg, &part, opts, make_sink))
 }
@@ -379,7 +379,7 @@ where
     F: Fn(usize) -> S + Send + Sync,
 {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert_eq!(cfg.x, 1, "generate_x1 implements Algorithm 3.1 (x = 1)");
     let part: AnyPartition = partition::build(scheme, cfg.n, nranks);
     to_stream_outputs(run_x1(cfg, &part, opts, make_sink))
@@ -416,7 +416,7 @@ where
     T: Transport<Msg>,
 {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert!(
         opts.fault_plan.is_none(),
         "fault injection must wrap the transport before generate_rank_streaming"
@@ -431,7 +431,7 @@ where
         comm.nranks(),
         "partition rank count does not match the transport world"
     );
-    let algo = strategy::General::new(cfg, part, comm.rank(), comm.nranks(), opts, sink);
+    let algo = strategy::General::new(cfg, part, comm.rank(), opts, sink);
     let algo = driver::run(part, cfg.x, opts, comm, algo);
     algo.into_parts()
 }
@@ -468,7 +468,7 @@ where
     T: Transport<Msg>,
 {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert!(
         opts.fault_plan.is_none(),
         "fault injection must wrap the transport before generate_rank_streaming_recoverable"
@@ -491,7 +491,7 @@ where
     // fresh run must start from clean pages.
     let mut opts = opts.clone();
     opts.store = opts.store.with_resume(resume.is_some());
-    let algo = strategy::General::new(cfg, part, comm.rank(), comm.nranks(), &opts, sink);
+    let algo = strategy::General::new(cfg, part, comm.rank(), &opts, sink);
     let algo = driver::run_recoverable(part, cfg.x, &opts, comm, algo, store, resume);
     algo.into_parts()
 }
@@ -543,7 +543,7 @@ where
     T: Transport<Msg>,
 {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert!(
         opts.fault_plan.is_none(),
         "fault injection must wrap the transport before generate_rank3_streaming"
@@ -590,7 +590,7 @@ where
     T: Transport<Msg1>,
 {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert_eq!(cfg.x, 1, "generate_x1 implements Algorithm 3.1 (x = 1)");
     assert!(
         opts.fault_plan.is_none(),
@@ -623,7 +623,7 @@ pub fn generate_x1(
     opts: &GenOptions,
 ) -> ParallelOutput {
     cfg.validate();
-    opts.validate_for(cfg.n);
+    opts.validate();
     assert_eq!(cfg.x, 1, "generate_x1 implements Algorithm 3.1 (x = 1)");
     let part: AnyPartition = partition::build(scheme, cfg.n, nranks);
     let parts = run_x1(cfg, &part, opts, |rank| {
@@ -865,7 +865,6 @@ mod tests {
             );
             assert_eq!(r.comm.msgs_recv, 0, "rank {} received messages", r.rank);
             assert_eq!(r.counters.requests_sent, 0);
-            assert_eq!(r.counters.hub_updates, 0);
         }
         let totals = out.total_counters();
         assert!(

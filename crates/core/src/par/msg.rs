@@ -66,18 +66,6 @@ pub enum Msg {
         /// the slot's latest outstanding attempt are stale and ignored.
         a: u32,
     },
-    /// `⟨hub, k, l, v⟩` — owner broadcast of a committed hub slot:
-    /// `F_k(l) = v`, for the receivers' replicated hub caches. Carries
-    /// exactly the committed value a `resolved` for `(k, l)` would carry,
-    /// which is why consuming it preserves the output bit-for-bit.
-    Hub {
-        /// The hub node whose slot committed.
-        k: Node,
-        /// Which of `k`'s edges committed.
-        l: u32,
-        /// The committed attachment target.
-        v: Node,
-    },
 }
 
 impl Wire for Msg1 {
@@ -129,12 +117,6 @@ impl Wire for Msg {
                 out.extend_from_slice(&v.to_le_bytes());
                 out.extend_from_slice(&a.to_le_bytes());
             }
-            Msg::Hub { k, l, v } => {
-                out.push(2);
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&l.to_le_bytes());
-                out.extend_from_slice(&v.to_le_bytes());
-            }
         }
     }
 
@@ -152,11 +134,6 @@ impl Wire for Msg {
                 e: get_u32(input)?,
                 v: get_u64(input)?,
                 a: get_u32(input)?,
-            }),
-            2 => Some(Msg::Hub {
-                k: get_u64(input)?,
-                l: get_u32(input)?,
-                v: get_u64(input)?,
             }),
             _ => None,
         }
@@ -195,7 +172,6 @@ mod tests {
             v: 1 << 50,
             a: 2,
         });
-        round_trip(Msg::Hub { k: 8, l: 1, v: 0 });
     }
 
     #[test]
@@ -228,12 +204,6 @@ mod tests {
         // (single slot, no retries) and stays at three.
         assert!(std::mem::size_of::<Msg>() <= 40);
         assert!(std::mem::size_of::<Msg1>() <= 24);
-    }
-
-    #[test]
-    fn hub_broadcast_fits_the_packet_word_budget() {
-        let m = Msg::Hub { k: 1, l: 0, v: 0 };
-        assert!(std::mem::size_of_val(&m) <= 40);
     }
 
     #[test]

@@ -36,14 +36,10 @@ pub struct EngineCounters {
     pub duplicate_retries: u64,
     /// Peak number of waiters parked in this rank's queues.
     pub max_queued_waiters: u64,
-    /// Copy lookups answered by the replicated hub cache (each one is a
-    /// request/resolved round trip that never hit the network).
+    /// Always 0 since the hub cache was removed; kept until a
+    /// benchmark-only change drops it (the benchmark harness reads it by
+    /// name). Nothing writes to it.
     pub hub_hits: u64,
-    /// Of those, lookups that arrived before the owner's broadcast and
-    /// parked for it instead of sending a request.
-    pub hub_deferred: u64,
-    /// Hub broadcast entries installed into this rank's replica.
-    pub hub_updates: u64,
     /// Incoming `resolved` messages discarded as stale — duplicates of
     /// answers already consumed, or answers to superseded draw attempts.
     /// Always zero on a clean transport; nonzero only under fault
@@ -63,7 +59,7 @@ pub struct EngineCounters {
 impl EngineCounters {
     /// Field count of the checkpoint encoding (one `u64` per field, in
     /// declaration order).
-    pub(super) const ENCODED_FIELDS: usize = 17;
+    pub(super) const ENCODED_FIELDS: usize = 15;
 
     /// Append the checkpoint encoding: every field as a little-endian
     /// `u64`, in declaration order.
@@ -80,8 +76,6 @@ impl EngineCounters {
             self.duplicate_retries,
             self.max_queued_waiters,
             self.hub_hits,
-            self.hub_deferred,
-            self.hub_updates,
             self.stale_resolutions,
             self.chain_rows_recomputed,
             self.chain_memo_hits,
@@ -98,7 +92,7 @@ impl EngineCounters {
         for f in &mut fields {
             *f = pa_mpsim::wire::get_u64(input)?;
         }
-        let [nodes, direct_edges, copy_edges, local_immediate, local_deferred, requests_sent, requests_served, requests_queued, duplicate_retries, max_queued_waiters, hub_hits, hub_deferred, hub_updates, stale_resolutions, chain_rows_recomputed, chain_memo_hits, chain_peak_depth] =
+        let [nodes, direct_edges, copy_edges, local_immediate, local_deferred, requests_sent, requests_served, requests_queued, duplicate_retries, max_queued_waiters, hub_hits, stale_resolutions, chain_rows_recomputed, chain_memo_hits, chain_peak_depth] =
             fields;
         Some(Self {
             nodes,
@@ -112,8 +106,6 @@ impl EngineCounters {
             duplicate_retries,
             max_queued_waiters,
             hub_hits,
-            hub_deferred,
-            hub_updates,
             stale_resolutions,
             chain_rows_recomputed,
             chain_memo_hits,
@@ -196,8 +188,6 @@ impl ParallelOutput {
             total.duplicate_retries += c.duplicate_retries;
             total.max_queued_waiters = total.max_queued_waiters.max(c.max_queued_waiters);
             total.hub_hits += c.hub_hits;
-            total.hub_deferred += c.hub_deferred;
-            total.hub_updates += c.hub_updates;
             total.stale_resolutions += c.stale_resolutions;
             total.chain_rows_recomputed += c.chain_rows_recomputed;
             total.chain_memo_hits += c.chain_memo_hits;
@@ -252,8 +242,6 @@ mod tests {
             &mut c.duplicate_retries,
             &mut c.max_queued_waiters,
             &mut c.hub_hits,
-            &mut c.hub_deferred,
-            &mut c.hub_updates,
             &mut c.stale_resolutions,
             &mut c.chain_rows_recomputed,
             &mut c.chain_memo_hits,

@@ -6,11 +6,11 @@
 //! (DESIGN.md §5f). The committed state below the cut is therefore a
 //! pure function of the model — `F_t(e)` values addressed by label, with
 //! no per-rank residue (waiter tables provably empty, attempt counters
-//! dead, the hub replica reconstructible on demand). That makes the cut
-//! *re-partitionable*: a world saved by `P_old` ranks can restart on
-//! `P_new` ranks by routing each committed label through the **new**
-//! partition's closed-form owner lookup and synthesizing each new rank's
-//! resume payload from the old ranks' tables.
+//! dead). That makes the cut *re-partitionable*: a world saved by
+//! `P_old` ranks can restart on `P_new` ranks by routing each committed
+//! label through the **new** partition's closed-form owner lookup and
+//! synthesizing each new rank's resume payload from the old ranks'
+//! tables.
 //!
 //! [`WorldCheckpoint::load`] scans a checkpoint directory without fixing
 //! the world size in advance (the per-file identity check that
@@ -181,10 +181,8 @@ impl WorldCheckpoint {
 
     /// Synthesize new rank `rank`'s resume payload over `new_part` — the
     /// resident checkpoint format, which every engine's `restore`
-    /// accepts into either store backend. `engine_id` names the **new**
-    /// run's engine (it appends the general engine's empty hub section;
-    /// a restored hub rebuilds through the request path).
-    pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize, engine_id: u8) -> Vec<u8> {
+    /// accepts into either store backend.
+    pub fn payload_for<P: Partition>(&self, new_part: &P, rank: usize) -> Vec<u8> {
         let x = self.meta.x;
         let cnt = new_part.local_count_below(rank, self.hi);
         let mut out = Vec::with_capacity(8 * (1 + (cnt * x) as usize));
@@ -203,11 +201,6 @@ impl WorldCheckpoint {
             ..Default::default()
         }
         .encode(&mut out);
-        if engine_id == 2 {
-            // Empty hub section: the fresh replica plus request-path
-            // fallback below the committed base is always correct.
-            out.extend_from_slice(&0u64.to_le_bytes());
-        }
         out
     }
 
@@ -431,7 +424,7 @@ mod tests {
             let rank = comm.rank();
             let mut sink = EdgeList::new();
             let edges = world.write_part_prefix(&part, rank, &mut sink);
-            let payload = world.payload_for(&part, rank, 3);
+            let payload = world.payload_for(&part, rank);
             let saved = world.resume_point(payload, edges, 0);
             generate_rank3_streaming_recoverable(
                 cfg,
@@ -555,7 +548,7 @@ mod tests {
             let rank = comm.rank();
             let mut sink = EdgeList::new();
             let edges = world.write_part_prefix(&part_new, rank, &mut sink);
-            let payload = world.payload_for(&part_new, rank, 2);
+            let payload = world.payload_for(&part_new, rank);
             let saved = world.resume_point(payload, edges, 0);
             generate_rank_streaming_recoverable(
                 &cfg,

@@ -3,37 +3,33 @@
 //! Every rank sweeps its own nodes in ascending order. A node's `x` edge
 //! slots are driven **in slot order**: slot `(t, e)` runs its draw/retry
 //! loop only once slots `(t, 0..e)` have committed. Direct choices commit
-//! immediately; copy choices either resolve from the local `F` table, from
-//! the replicated hub cache, park in a waiter slot, or become a `request`
-//! message to the owner of `k`. Incoming requests are answered immediately
-//! when the slot is known or parked in the dense waiter table otherwise; a
-//! commit drains the slot's waiters, sending `resolved` messages
-//! (buffered, with the §3.5.2 flush discipline). Duplicate edges are
-//! rejected against the committed prefix of the row, re-drawing with an
-//! incremented attempt counter.
+//! immediately; copy choices either resolve from the local `F` table, park
+//! in a waiter slot, or become a `request` message to the owner of `k`.
+//! Incoming requests are answered immediately when the slot is known or
+//! parked in the dense waiter table otherwise; a commit drains the slot's
+//! waiters, sending `resolved` messages (buffered, with the §3.5.2 flush
+//! discipline). Duplicate edges are rejected against the committed prefix
+//! of the row, re-drawing with an incremented attempt counter.
 //!
 //! **Determinism.** In-order slots give every attempt of `(t, e)` exactly
 //! the visibility the sequential generator has at the same point: the
 //! committed values of `(t, 0..e)` and the unique committed `F_k(l)`
-//! (requests and cache hits both return committed-only values). Every
-//! attempt therefore accepts or rejects identically, so the engine emits
-//! the *same edge set as `seq::copy_model`* for every rank count,
-//! partitioning scheme, message timing, and hub-cache setting — the
-//! property the determinism suite pins down. The cost is that one node's
-//! remote lookups serialize; parallelism across the many nodes of a rank
-//! is untouched, and low-label lookups — the common case, by Lemma 3.4 —
-//! are absorbed by the hub cache anyway.
+//! (requests return committed-only values). Every attempt therefore
+//! accepts or rejects identically, so the engine emits the *same edge set
+//! as `seq::copy_model`* for every rank count, partitioning scheme and
+//! message timing — the property the determinism suite pins down. The
+//! cost is that one node's remote lookups serialize; parallelism across
+//! the many nodes of a rank is untouched.
 //!
 //! The service/flush/park/termination loop — and the termination argument
 //! (a `request` in flight always belongs to an uncommitted slot) — lives
 //! in [`crate::par::driver`]; this module only supplies the per-slot state
 //! machine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use pa_mpsim::Transport;
 
-use super::hub::HubCache;
 use super::waiters::{Taken, WaiterTable};
 use super::Strategy;
 use crate::par::driver::Net;
@@ -68,7 +64,6 @@ pub(crate) struct General<'a, P: Partition, S: EdgeSink> {
     cfg: &'a PaConfig,
     part: &'a P,
     rank: usize,
-    nranks: usize,
     /// The resolved attachment model this rank draws from.
     model: Model,
     /// Flattened `F_t(e)` slots for local nodes: `local_index(t)·x + e`.
@@ -82,21 +77,8 @@ pub(crate) struct General<'a, P: Partition, S: EdgeSink> {
     next_e: AnyTable,
     /// Waiters per local slot index.
     waiters: WaiterTable<Waiter>,
-    /// Replicated low-label slots (see [`super::hub`]).
-    hub: HubCache,
-    /// Slots parked for a hub broadcast that has not arrived yet, keyed
-    /// by the hub slot `k·x + l`. Sparse by construction — only slots a
-    /// lookup raced ahead of — so a map beats a dense table here.
-    hub_waiters: HashMap<u64, Vec<(Node, u32)>>,
     /// Locally produced resolutions awaiting processing `(t, e, v)`.
     local_events: VecDeque<(Node, u32, Node)>,
-    /// Every node below this label is committed world-wide (0 on a fresh
-    /// run; the checkpoint cut `hi` after a restore). Hub *misses* below
-    /// the base fall back to the request path: the owner's broadcast was
-    /// sent before the crash and will never be retransmitted, but a
-    /// request returns the same committed value, so the output is
-    /// unchanged.
-    committed_base: Node,
     edges: S,
     counters: EngineCounters,
 }
@@ -106,19 +88,12 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         cfg: &'a PaConfig,
         part: &'a P,
         rank: usize,
-        nranks: usize,
         opts: &GenOptions,
         sink: S,
     ) -> Self {
         let x = cfg.x;
         let size = part.size_of(rank);
         let slots = size * x;
-        // A single rank resolves everything locally; skip the replica.
-        let hub = if nranks > 1 {
-            HubCache::new(cfg, opts.hub_nodes(cfg.n))
-        } else {
-            HubCache::disabled(cfg)
-        };
         // Split one --memory-budget across the three tables by
         // slot-count weight: f and attempts each hold x slots per node,
         // next_e one. The two ephemeral tables always start fresh.
@@ -156,16 +131,12 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
             cfg,
             part,
             rank,
-            nranks,
             model: Model::resolve(cfg, opts.model),
             f,
             attempts,
             next_e,
             waiters: WaiterTable::new(slots as usize),
-            hub,
-            hub_waiters: HashMap::new(),
             local_events: VecDeque::new(),
-            committed_base: 0,
             edges: sink,
             counters: EngineCounters {
                 nodes: size,
@@ -212,7 +183,6 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         t: Node,
         e: u32,
     ) -> SlotOutcome {
-        let x = self.cfg.x;
         // Hoist the (seed, t) key prefix: every re-draw of this slot then
         // pays one key mix instead of three (the high-x duplicate-retry
         // hot spot).
@@ -238,45 +208,6 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
                     }
                     self.counters.local_immediate += 1;
                     (fk, false)
-                } else if self.hub.covers(c.k) {
-                    match self.hub.get(c.k, c.l as u32) {
-                        Some(v) => {
-                            // Hub hit: the committed value, no round trip.
-                            self.counters.hub_hits += 1;
-                            (v, false)
-                        }
-                        None if c.k < self.committed_base => {
-                            // The slot committed before the checkpoint cut
-                            // we restored from, so its broadcast predates
-                            // the crash and may be lost forever — parking
-                            // would deadlock. Ask the owner instead; the
-                            // answer is the same committed value.
-                            self.counters.requests_sent += 1;
-                            net.send_req(
-                                owner,
-                                Msg::Request {
-                                    t,
-                                    e,
-                                    k: c.k,
-                                    l: c.l as u32,
-                                    a: attempt,
-                                },
-                            );
-                            return SlotOutcome::Waiting;
-                        }
-                        None => {
-                            // The owner broadcasts every covered commit,
-                            // so the value is already on its way; park for
-                            // it rather than duplicating it with a
-                            // request/resolved round trip.
-                            self.counters.hub_deferred += 1;
-                            self.hub_waiters
-                                .entry(c.k * x + c.l)
-                                .or_default()
-                                .push((t, e));
-                            return SlotOutcome::Waiting;
-                        }
-                    }
                 } else {
                     // Alg. 3.2 line 14: ask the owner of k. The attempt
                     // tag comes back with the answer, so stale duplicates
@@ -314,8 +245,7 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         self.counters.max_queued_waiters = self.counters.max_queued_waiters.max(self.waiters.len());
     }
 
-    /// Record `F_t(e) = v`, emit the edge, broadcast hub commits, and
-    /// notify waiters.
+    /// Record `F_t(e) = v`, emit the edge, and notify waiters.
     fn commit<T: Transport<Msg>>(&mut self, net: &mut Net<'_, Msg, T>, t: Node, e: u32, v: Node) {
         let slot = self.slot(t, e);
         let li = self.part.local_index(t);
@@ -330,15 +260,6 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
         self.next_e.set(li, u64::from(e) + 1);
         self.edges.emit(t, v);
         net.complete(1);
-        // Replicate committed hub slots to every other rank (node x's row
-        // is pre-seeded in every cache, so it needs no traffic).
-        if t > self.cfg.x && self.hub.covers(t) {
-            for dest in 0..self.nranks {
-                if dest != self.rank {
-                    net.send_res(dest, Msg::Hub { k: t, l: e, v });
-                }
-            }
-        }
         match self.waiters.take(slot as usize) {
             Taken::None => {}
             Taken::One(w) => self.notify(net, w, v),
@@ -400,8 +321,8 @@ impl<'a, P: Partition, S: EdgeSink> General<'a, P, S> {
     /// (Alg. 3.2 lines 21–29), then push the node onward. Callers must
     /// have established that the value answers the slot's latest draw
     /// (wire answers go through [`Self::handle_resolved_msg`]; local
-    /// events and hub wake-ups are generated at commit time for a parked
-    /// current draw, and parked slots draw nothing new until woken).
+    /// events are generated at commit time for a parked current draw,
+    /// and parked slots draw nothing new until woken).
     fn handle_resolved<T: Transport<Msg>>(
         &mut self,
         net: &mut Net<'_, Msg, T>,
@@ -490,29 +411,12 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
                     debug_assert_eq!(self.part.rank_of(t), self.rank);
                     self.handle_resolved_msg(net, t, e, v, a);
                 }
-                Msg::Hub { k, l, v } => {
-                    self.counters.hub_updates += 1;
-                    self.hub.insert(k, l, v);
-                    // Wake every slot that raced ahead of this broadcast;
-                    // the value is exactly what a `resolved` would carry.
-                    if let Some(parked) = self.hub_waiters.remove(&(k * self.cfg.x + u64::from(l)))
-                    {
-                        for (t, e) in parked {
-                            self.counters.hub_hits += 1;
-                            self.handle_resolved(net, t, e, v);
-                        }
-                    }
-                }
             }
         }
     }
 
     fn finish(&mut self) {
         debug_assert!(self.waiters.is_empty(), "waiters left after termination");
-        debug_assert!(
-            self.hub_waiters.is_empty(),
-            "hub waiters left after termination"
-        );
     }
 
     fn sink_mark(&mut self) -> std::io::Result<(u64, u64)> {
@@ -522,24 +426,18 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
     fn snapshot(&mut self, hi: Node, out: &mut Vec<u8>) {
         // At the epoch cut every local node below `hi` is fully
         // committed and everything at or above it is untouched, so the
-        // prefix of `f` plus the counters and the hub replica is the
-        // whole engine (attempt counters are dead for committed slots;
-        // `next_e` is reconstructed; waiter tables are provably empty —
-        // `finish` just asserted it). Clique-node rows (labels < x)
-        // legitimately hold NILL: their slots are never drawn or queried.
+        // prefix of `f` plus the counters is the whole engine (attempt
+        // counters are dead for committed slots; `next_e` is
+        // reconstructed; waiter tables are provably empty — `finish` just
+        // asserted it). Clique-node rows (labels < x) legitimately hold
+        // NILL: their slots are never drawn or queried.
         let x = self.cfg.x;
         let cnt = self.part.local_count_below(self.rank, hi);
         store::write_table_prefix(&mut self.f, cnt, x, out);
         self.counters.encode(out);
-        let vals = self.hub.vals();
-        out.extend_from_slice(&(vals.len() as u64).to_le_bytes());
-        for &v in vals {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
     }
 
     fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String> {
-        use pa_mpsim::wire::get_u64;
         let x = self.cfg.x;
         let mut r = payload;
         let expect = self.part.local_count_below(self.rank, hi);
@@ -549,27 +447,9 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
             self.next_e.set(li, x);
         }
         self.counters = EngineCounters::decode(&mut r).ok_or("truncated engine counters")?;
-        let hub_len = get_u64(&mut r).ok_or("truncated hub-cache length")? as usize;
-        let mut vals = Vec::with_capacity(hub_len);
-        for _ in 0..hub_len {
-            vals.push(get_u64(&mut r).ok_or("truncated hub cache")?);
-        }
         if !r.is_empty() {
-            return Err(format!("{} trailing bytes after the hub cache", r.len()));
+            return Err(format!("{} trailing bytes after the counters", r.len()));
         }
-        if hub_len == 0 {
-            // An elastic-restart payload carries no hub section: keep
-            // the fresh pre-seeded replica. Correct because every hub
-            // miss below `committed_base` falls back to the request
-            // path, which returns the same committed value.
-        } else if !self.hub.load_vals(&vals) {
-            return Err(format!(
-                "hub cache holds {hub_len} slots but this run's cache has {} \
-                 (hub_cache_nodes changed between runs?)",
-                self.hub.vals().len()
-            ));
-        }
-        self.committed_base = hi;
         Ok(())
     }
 
@@ -578,9 +458,8 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for General<'a, P, S> {
             .filter(|&li| self.next_e.get(li) < self.cfg.x)
             .count();
         format!(
-            "uncommitted_nodes={uncommitted} waiters={} hub_waiters={} stale_resolutions={}",
+            "uncommitted_nodes={uncommitted} waiters={} stale_resolutions={}",
             self.waiters.len(),
-            self.hub_waiters.len(),
             self.counters.stale_resolutions,
         )
     }

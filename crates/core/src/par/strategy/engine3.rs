@@ -13,8 +13,8 @@
 //! remote nodes — a dependency chain that bottoms out at a direct choice
 //! or at node `x` (whose row is the identity `F_x(l) = l`) after an
 //! expected O(log n) steps (the paper's Lemma 3.1). No `request`, no
-//! `resolved`, no hub broadcast: the only things left on the wire are the
-//! collectives the driver itself uses (barriers, termination counting).
+//! `resolved`: the only things left on the wire are the collectives the
+//! driver itself uses (barriers, termination counting).
 //!
 //! **Determinism.** The recomputed rows replay the sequential generator's
 //! attempt loop exactly — same [`crate::seq::draw_choice`] streams, same
@@ -637,8 +637,8 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
         lo: Node,
         hi: Node,
     ) {
-        // Node x attaches deterministically to all seed nodes. No hub
-        // broadcast: every other rank derives F_x analytically.
+        // Node x attaches deterministically to all seed nodes; every other
+        // rank derives F_x analytically.
         let x = self.cfg.x;
         if self.part.num_nodes() > x && (lo..hi).contains(&x) && self.part.rank_of(x) == self.rank {
             let li = self.part.local_index(x) as usize;
@@ -683,9 +683,9 @@ impl<'a, P: Partition, S: EdgeSink> Strategy for Chain<'a, P, S> {
     }
 
     fn snapshot(&mut self, hi: Node, out: &mut Vec<u8>) {
-        // Same epoch-cut argument as engine2, minus the hub replica: the
-        // committed prefix of `f` plus the counters is the whole engine
-        // (the memo is a pure-function cache and rebuilds itself).
+        // Same epoch-cut argument as engine2: the committed prefix of `f`
+        // plus the counters is the whole engine (the memo is a
+        // pure-function cache and rebuilds itself).
         let x = self.cfg.x;
         let cnt = self.part.local_count_below(self.rank, hi);
         store::write_table_prefix(&mut self.f, cnt, x, out);

@@ -12,10 +12,8 @@
 //!   `x = 1` protocol), [`General`] (Algorithm 3.2's in-order slots with
 //!   request/resolved), and [`Chain`] (communication-free local chain
 //!   recomputation);
-//! * their private state machinery — the [`hub`] replica (only
-//!   [`General`] broadcasts hub commits; no other strategy ever touches
-//!   the hub path, which a conformance test pins) and the [`waiters`]
-//!   tables (only the message-passing strategies park work).
+//! * their private state machinery — the [`waiters`] tables (only the
+//!   message-passing strategies park work).
 //!
 //! Model-genericity comes from one further cut: strategies draw
 //! attachment randomness exclusively through [`crate::Model`], which
@@ -30,7 +28,6 @@
 mod engine1;
 mod engine2;
 mod engine3;
-mod hub;
 mod waiters;
 
 pub(super) use engine1::X1;
@@ -106,7 +103,7 @@ pub(crate) trait Strategy {
     /// # Errors
     ///
     /// A human-readable reason when the payload does not match this
-    /// rank's shape (truncation, foreign partition, hub-size mismatch).
+    /// rank's shape (truncation, foreign partition, trailing bytes).
     fn restore(&mut self, hi: Node, payload: &[u8]) -> Result<(), String>;
 
     /// One-line progress summary (uncommitted slots, waiter-table depths)

@@ -4,10 +4,10 @@
 //! runtime and differ from `std::sync::mpsc`:
 //!
 //! * **Send never fails.** The queue lives as long as any endpoint handle,
-//!   so late traffic (e.g. pool returns or hub broadcasts racing a rank's
-//!   exit) is simply parked instead of erroring — mirroring MPI, where a
-//!   send to a rank that has already hit `MPI_Finalize` is buffered by the
-//!   library rather than reported at the sender.
+//!   so late traffic (e.g. pool returns racing a rank's exit) is simply
+//!   parked instead of erroring — mirroring MPI, where a send to a rank
+//!   that has already hit `MPI_Finalize` is buffered by the library
+//!   rather than reported at the sender.
 //! * **Batched drain.** [`Receiver::drain_into`] moves every queued item
 //!   out under a single lock acquisition, which is what makes
 //!   `Comm::drain_recv` cheaper than a `try_recv` loop.

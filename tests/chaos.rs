@@ -137,11 +137,8 @@ fn faults_are_actually_injected_and_recovered() {
     // Guard against the suite silently testing nothing: an aggressive
     // plan over a multi-rank run must inject faults, recover drops, and
     // dedup spurious retransmissions — and the engines must see (and
-    // discard) stale duplicates. The hub cache is disabled because at
-    // n = 3000 every node is a hub under the default cache size, so
-    // nearly all traffic would be broadcast messages whose duplicates
-    // are absorbed without ever hitting the stale-resolution guards.
-    let opts = chaos_opts(FaultPlan::aggressive(3)).without_hub_cache();
+    // discard) stale duplicates.
+    let opts = chaos_opts(FaultPlan::aggressive(3));
     let out = par::generate(&cfg_x4(), Scheme::Rrp, 4, &opts);
     let comm: pa_mpsim::CommStats =
         out.ranks
@@ -172,10 +169,11 @@ fn clean_runs_report_zero_fault_counters() {
 }
 
 #[test]
-fn hub_cache_off_still_survives_chaos() {
-    // Without the hub cache every low-label lookup is a request/resolved
-    // round trip — far more wire traffic to perturb.
-    let opts = chaos_opts(FaultPlan::aggressive(5)).without_hub_cache();
+fn ucp_request_path_survives_aggressive_chaos() {
+    // Every remote lookup is a request/resolved round trip, and UCP puts
+    // the most-requested low labels on one rank: the densest wire
+    // traffic to perturb.
+    let opts = chaos_opts(FaultPlan::aggressive(5));
     let out = par::generate(&cfg_x4(), Scheme::Ucp, 4, &opts);
     assert_eq!(fnv1a(&out.edge_list().canonicalized()), ORACLE_X4);
 }

@@ -3,15 +3,8 @@
 use pa_analysis::stats;
 use pa_core::{par, partition::Scheme, GenOptions, PaConfig};
 
-/// Figure 7 characterizes the *uncached* request/resolved protocol, so
-/// these tests disable the hub cache (which exists precisely to remove
-/// the traffic they measure).
-fn opts() -> GenOptions {
-    GenOptions::default().without_hub_cache()
-}
-
 fn loads(scheme: Scheme, cfg: &PaConfig, ranks: usize) -> Vec<f64> {
-    let out = par::generate(cfg, scheme, ranks, &opts());
+    let out = par::generate(cfg, scheme, ranks, &GenOptions::default());
     assert_eq!(out.total_edges() as u64, cfg.expected_edges());
     out.ranks
         .iter()
@@ -49,7 +42,7 @@ fn ucp_incoming_requests_decrease_with_rank() {
     // Figure 7(c): under consecutive partitioning, low ranks receive far
     // more requests (Lemma 3.4).
     let cfg = PaConfig::new(40_000, 6).with_seed(3);
-    let out = par::generate(&cfg, Scheme::Ucp, 8, &opts());
+    let out = par::generate(&cfg, Scheme::Ucp, 8, &GenOptions::default());
     let incoming: Vec<u64> = out
         .ranks
         .iter()
@@ -71,7 +64,7 @@ fn ucp_rank_zero_sends_no_requests() {
     // §4.6.2: "processor 0 does not need to send any request messages at
     // all" — all its lookups are for lower-labelled nodes it owns itself.
     let cfg = PaConfig::new(10_000, 4).with_seed(1);
-    let out = par::generate(&cfg, Scheme::Ucp, 8, &opts());
+    let out = par::generate(&cfg, Scheme::Ucp, 8, &GenOptions::default());
     let r0 = &out.ranks[0];
     assert_eq!(r0.counters.requests_sent, 0);
     // Everything rank 0 *does* send is a resolved response: one per
@@ -92,7 +85,7 @@ fn outgoing_requests_proportional_to_partition_size() {
     // outgoing traffic tracks its node count (UCP: all roughly equal
     // except rank 0's locality advantage).
     let cfg = PaConfig::new(40_000, 6).with_seed(3);
-    let out = par::generate(&cfg, Scheme::Rrp, 8, &opts());
+    let out = par::generate(&cfg, Scheme::Rrp, 8, &GenOptions::default());
     let per_node: Vec<f64> = out
         .ranks
         .iter()

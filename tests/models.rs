@@ -1,5 +1,4 @@
-//! Model-conformance suite: nonlinear PA (nlpa) across the whole stack,
-//! plus the strategy/hub-cache conformance contract.
+//! Model-conformance suite: nonlinear PA (nlpa) across the whole stack.
 //!
 //! The nlpa fingerprints below were captured from the sequential oracle
 //! (`seq::nlpa`) the day the model landed; every parallel path — both
@@ -109,57 +108,6 @@ fn nlpa_communication_free_engine_matches_the_oracle_for_every_world() {
             }
         }
     }
-}
-
-#[test]
-fn strategies_without_hub_broadcasts_never_touch_the_hub_cache_path() {
-    // The hub cache is engine2's private optimization, owned by its
-    // strategy since the strategy refactor. A strategy that never
-    // broadcasts hub commits must report a completely untouched hub
-    // path — hits, deferrals, and updates all zero — no matter how much
-    // other traffic the run generates.
-    let cfg = cfg_x4();
-
-    // Engine 3 exchanges no algorithm messages at all.
-    let out = par::generate3(&cfg, Scheme::Rrp, 4, &GenOptions::default());
-    for r in &out.ranks {
-        assert_eq!(r.counters.hub_hits, 0, "engine3 rank {} hub hit", r.rank);
-        assert_eq!(r.counters.hub_deferred, 0);
-        assert_eq!(r.counters.hub_updates, 0);
-    }
-
-    // Engine 1 predates the hub cache and never consults it.
-    let out = par::generate_x1(&cfg_x1(), Scheme::Rrp, 4, &GenOptions::default());
-    for r in &out.ranks {
-        assert_eq!(r.counters.hub_hits, 0, "engine1 rank {} hub hit", r.rank);
-        assert_eq!(r.counters.hub_deferred, 0);
-        assert_eq!(r.counters.hub_updates, 0);
-    }
-
-    // Engine 2 with the cache disabled must fall back to pure
-    // request/resolved traffic: real remote requests, zero hub activity.
-    let out = par::generate(
-        &cfg,
-        Scheme::Rrp,
-        4,
-        &GenOptions::default().without_hub_cache(),
-    );
-    let totals = out.total_counters();
-    assert!(
-        totals.requests_sent > 0,
-        "hub-off multi-rank run sent no requests — the conformance check is vacuous"
-    );
-    assert_eq!(totals.hub_hits, 0);
-    assert_eq!(totals.hub_deferred, 0);
-    assert_eq!(totals.hub_updates, 0);
-
-    // And with the cache on, the same workload must actually use it —
-    // guarding against the counters being dead weight.
-    let out = par::generate(&cfg, Scheme::Rrp, 4, &GenOptions::default());
-    assert!(
-        out.total_counters().hub_updates > 0,
-        "hub cache never updated"
-    );
 }
 
 /// Chaos runs use small buffers and a short service interval so packets
